@@ -73,7 +73,7 @@ pub enum SimError {
     /// Other tenants sharing the fabric are unaffected and complete
     /// normally.
     Tenant {
-        /// Tenant index in the `run_tenants` input.
+        /// Tenant index in the [`execute_tenants`](crate::tenant::execute_tenants) input.
         tenant: usize,
         /// Tenant name, for log triage.
         name: String,

@@ -25,8 +25,6 @@ use aps_cost::CostParams;
 use aps_fabric::{BarrierModel, Fabric, ReconfigOutcome};
 use aps_matrix::Matching;
 
-#[allow(deprecated)]
-pub use crate::tenant::run_tenants;
 pub use crate::tenant::{execute_tenants, TenantReport, TenantSpec};
 
 /// Reduction compute following each step's communication.
@@ -100,9 +98,10 @@ pub(crate) struct StepInput<'a> {
 
 /// When the step's reconfiguration request would reach the fabric: with
 /// overlap enabled, as soon as the previous step's flows drain; otherwise
-/// once the control path (barrier + α) arrives. The tenant scheduler
-/// orders tenants by exactly this instant, so it must stay the single
-/// source of truth for both executors.
+/// once the control path (barrier + α) arrives. The multi-job scheduler
+/// ([`crate::service::ServiceExecutor::next_request_at`]) orders jobs by
+/// exactly this instant, so it must stay the single source of truth for
+/// both the scheduler and the step.
 pub(crate) fn natural_request_at(
     cfg: &RunConfig,
     barrier_n: usize,
@@ -435,25 +434,6 @@ pub fn run_adaptive(
     }
     report.total_ps = gpu_free;
     Ok((SwitchSchedule::new(choices), report))
-}
-
-/// Executes `schedule` under `switch_schedule` against the fabric.
-///
-/// # Errors
-///
-/// See [`run_scheduled`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `adaptive_photonics::Experiment::…::simulate()` or `run_scheduled`"
-)]
-pub fn run_collective(
-    fabric: &mut dyn Fabric,
-    base_config: &Matching,
-    schedule: &Schedule,
-    switch_schedule: &SwitchSchedule,
-    cfg: &RunConfig,
-) -> Result<SimReport, SimError> {
-    run_scheduled(fabric, base_config, schedule, switch_schedule, cfg)
 }
 
 #[cfg(test)]

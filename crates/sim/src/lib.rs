@@ -76,11 +76,3 @@ pub use stream::{
 };
 pub use tenant::{execute_tenants, execute_tenants_recorded, TenantReport, TenantSpec};
 pub use trace::{TraceEvent, TraceKind};
-
-// Deprecated shims, re-exported for downstream compatibility.
-#[allow(deprecated)]
-pub use exec::run_collective;
-#[allow(deprecated)]
-pub use harness::run_trials;
-#[allow(deprecated)]
-pub use tenant::run_tenants;

@@ -13,8 +13,10 @@
 //!   streamed step (`tenant: None`);
 //! * [`crate::stream::run_workload_segment`] does the same for the O(1)
 //!   totals path, including resumed segments;
-//! * [`crate::tenant::execute_tenants_recorded`] delivers records in
-//!   global execution order, tagged with the tenant index.
+//! * [`crate::service::ServiceExecutor::execute_next`] delivers records in
+//!   global execution order, tagged with the job's slot;
+//!   [`crate::tenant::execute_tenants_recorded`] drives it and re-tags
+//!   each record with the tenant's input index.
 //!
 //! The trace slice contains exactly the events the step appended, in
 //! order — for adaptive runs that includes the step's
@@ -33,7 +35,9 @@ use aps_matrix::Matching;
 pub struct StepRecord<'a> {
     /// Step index within its stream (per-tenant index in tenant runs).
     pub step: usize,
-    /// Tenant index for multi-tenant runs; `None` for a lone stream.
+    /// Tenant index for multi-tenant runs (the job's slot when recorded
+    /// straight from a [`crate::service::ServiceExecutor`]); `None` for a
+    /// lone stream.
     pub tenant: Option<usize>,
     /// The decision the step ran under: `true` = matched configuration.
     pub matched: bool,

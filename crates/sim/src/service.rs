@@ -1,10 +1,8 @@
 //! Open-system execution: jobs admitted, executed, and removed over
 //! simulated time.
 //!
-//! [`crate::tenant::execute_tenants`] drains a *closed* job set — every
-//! tenant is known up front and runs to completion. This module is its
-//! open-system face: a [`ServiceExecutor`] holds a mutable population of
-//! jobs over slot-indexed state, so a caller (the `aps-faas` engine) can
+//! A [`ServiceExecutor`] holds a mutable population of jobs over
+//! slot-indexed state, so a caller (the `aps-faas` engine) can
 //! [`admit`](ServiceExecutor::admit) a job when it arrives, interleave
 //! everyone's steps in deterministic earliest-request order, and
 //! [`remove`](ServiceExecutor::remove) the job when its demand stream
@@ -12,24 +10,25 @@
 //!
 //! ## Lockstep parity
 //!
-//! The step engine is byte-for-byte the tenant executor's: the same
-//! `execute_step` core, the same `natural_request_at` scheduler
-//! instant, the same `tenant_target` overlay assembly, the same
-//! per-job clock seeding. A service run whose jobs are all admitted at
-//! t = 0 and never depart mid-run therefore reproduces
-//! [`execute_tenants`](crate::tenant::execute_tenants) **bit-identically**
-//! — per-step reports, traces, record frames, and finish times — which
-//! the workspace's differential suite pins at `APS_THREADS` 1 and 4.
+//! [`ServiceExecutor::execute_next`] is the workspace's one multi-job
+//! step loop. The closed-set [`execute_tenants`](crate::tenant::execute_tenants)
+//! is a driver over it: it admits every tenant up front at its arrival
+//! time (`id` = tenant index, so ties go to the lowest index) and removes
+//! each job as it departs. A service run whose jobs are all admitted at
+//! t = 0 therefore reproduces `execute_tenants` **bit-identically** by
+//! construction — per-step reports, traces, record frames, and finish
+//! times — which the differential suite still pins for the `aps-faas`
+//! engine at `APS_THREADS` 1 and 4.
 //!
 //! ## Steady-state allocation behavior
 //!
 //! The executor reuses the PR 8 arenas: one [`StepScratch`] for the fluid
 //! solver, one recycled scratch [`SimReport`] in totals mode
-//! (`keep_reports = false`), caller-owned `pairs`/`owned` buffers, and
-//! demand pulled through [`Workload::next_step_into`] into a per-job
-//! [`Step`] slot that is overwritten in place. The per-step heap traffic
-//! that remains is the global target [`Matching`] assembly shared with
-//! the tenant path.
+//! (`keep_reports = false`), a reused `pairs` buffer, and demand pulled
+//! through [`Workload::next_step_into`] into a per-job [`Step`] slot that
+//! is overwritten in place. Job ownership of fabric ports lives in one
+//! map maintained on admit and remove. The per-step heap traffic that
+//! remains is the global target [`Matching`] assembly.
 
 use crate::arena::StepScratch;
 use crate::error::SimError;
@@ -37,7 +36,6 @@ use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
 use crate::record::{RecordSink, StepRecord};
 use crate::report::SimReport;
 use crate::stream::{validate_step, StreamSummary};
-use crate::tenant::tenant_target;
 use aps_collectives::{Step, Workload, WorkloadCtx};
 use aps_core::{ConfigChoice, SwitchSchedule};
 use aps_cost::units::Picos;
@@ -149,6 +147,20 @@ struct JobState {
     error: Option<SimError>,
 }
 
+impl JobState {
+    /// Stops the job on `error`: it departs from `slot` at `at`.
+    fn fail(&mut self, error: SimError, slot: usize, at: Picos) -> Departure {
+        self.error = Some(error);
+        self.has_pending = false;
+        self.gpu_free = at;
+        Departure {
+            slot,
+            finish_ps: at,
+            failed: true,
+        }
+    }
+}
+
 /// The open-system step engine: a mutable population of jobs sharing one
 /// fabric, executed in deterministic earliest-request order.
 ///
@@ -165,7 +177,6 @@ pub struct ServiceExecutor {
     live: usize,
     scratch: StepScratch,
     pairs: Vec<(usize, usize)>,
-    owned: Vec<bool>,
     /// Recycled per-step report for totals mode.
     fold: SimReport,
     summary: StreamSummary,
@@ -187,7 +198,6 @@ impl ServiceExecutor {
             live: 0,
             scratch: StepScratch::new(),
             pairs: Vec::new(),
-            owned: Vec::new(),
             fold: SimReport::default(),
             summary: StreamSummary::default(),
         }
@@ -253,29 +263,29 @@ impl ServiceExecutor {
                 });
             }
         }
-        // Duplicate ports within the spec itself.
-        self.owned.clear();
-        self.owned.resize(self.n, false);
+        // Claim as we go: every port was free above, so one this slot
+        // already owns is a duplicate within the spec itself.
         for &p in &spec.ports {
-            if self.owned[p] {
+            if self.owner[p].is_some() {
+                self.release(&spec.ports);
                 return Err(SimError::BadTenantPorts {
                     tenant: slot,
                     port: p,
                 });
             }
-            self.owned[p] = true;
+            self.owner[p] = Some(slot);
         }
         let mut pending = Step::empty();
         let has_pending = spec
             .workload
             .next_step_into(&WorkloadCtx::at(0), &mut pending);
         if has_pending {
-            validate_step(0, n_j, &pending)?;
+            if let Err(e) = validate_step(0, n_j, &pending) {
+                self.release(&spec.ports);
+                return Err(e);
+            }
         }
-        // All checks passed: claim ports and take residence.
-        for &p in &spec.ports {
-            self.owner[p] = Some(slot);
-        }
+        // All checks passed: take residence.
         let state = JobState {
             id,
             name: spec.name,
@@ -306,8 +316,8 @@ impl ServiceExecutor {
     }
 
     /// The earliest instant any live job will next touch the fabric, and
-    /// that job's slot — the same `natural_request_at` instant the
-    /// tenant scheduler uses, ties broken by lowest job id (admission
+    /// that job's slot — the same `natural_request_at` instant the step
+    /// itself requests at, ties broken by lowest job id (admission
     /// order). `None` when no job has runnable work.
     pub fn next_request_at(&self) -> Option<(Picos, usize)> {
         let mut best: Option<(Picos, u64, usize)> = None;
@@ -335,16 +345,14 @@ impl ServiceExecutor {
     /// job's [`Departure`] when this step exhausted its demand stream or
     /// failed it, `None` otherwise (including when no job has work).
     ///
-    /// Step errors are isolated exactly like the tenant executor's: the
-    /// failing job departs carrying the error in its [`JobOutcome`];
-    /// other jobs keep running.
+    /// Step errors are isolated: the failing job departs carrying the
+    /// error in its [`JobOutcome`]; other jobs keep running.
     pub fn execute_next(
         &mut self,
         fabric: &mut dyn Fabric,
         sink: Option<&mut dyn RecordSink>,
     ) -> Option<Departure> {
         let (request_at, slot) = self.next_request_at()?;
-        let n = self.n;
         let st = self.slots[slot].as_mut().expect("scheduled slot is live");
         let i = st.executed;
         // A failing step departs at its request instant: `gpu_free` alone
@@ -353,27 +361,14 @@ impl ServiceExecutor {
         // run its event clock backwards.
         let fail_ps = request_at.max(st.gpu_free);
         let Some(choice) = st.switching.choice(i) else {
-            st.error = Some(SimError::ScheduleLengthMismatch {
+            let e = SimError::ScheduleLengthMismatch {
                 expected: i + 1,
                 got: i,
-            });
-            st.has_pending = false;
-            st.gpu_free = fail_ps;
-            return Some(Departure {
-                slot,
-                finish_ps: fail_ps,
-                failed: true,
-            });
+            };
+            return Some(st.fail(e, slot, fail_ps));
         };
         if let Err(e) = validate_step(i, st.ports.len(), &st.pending) {
-            st.error = Some(e);
-            st.has_pending = false;
-            st.gpu_free = fail_ps;
-            return Some(Departure {
-                slot,
-                finish_ps: fail_ps,
-                failed: true,
-            });
+            return Some(st.fail(e, slot, fail_ps));
         }
         let matched = choice == ConfigChoice::Matched;
         let local_target = if matched {
@@ -381,11 +376,7 @@ impl ServiceExecutor {
         } else {
             &st.base_config
         };
-        self.owned.clear();
-        for p in 0..n {
-            self.owned.push(self.owner[p] == Some(slot));
-        }
-        let target = tenant_target(fabric.current(), &st.ports, local_target, &self.owned);
+        let target = tenant_target(fabric.current(), &st.ports, local_target, &self.owner, slot);
         self.pairs.clear();
         self.pairs.extend(
             st.pending
@@ -422,16 +413,7 @@ impl ServiceExecutor {
             &mut self.scratch,
         ) {
             Ok(clocks) => clocks,
-            Err(e) => {
-                st.error = Some(e);
-                st.has_pending = false;
-                st.gpu_free = fail_ps;
-                return Some(Departure {
-                    slot,
-                    finish_ps: fail_ps,
-                    failed: true,
-                });
-            }
+            Err(e) => return Some(st.fail(e, slot, fail_ps)),
         };
         self.summary.absorb(&dest.steps[step_idx], matched);
         self.summary.total_ps = self.summary.total_ps.max(gpu_free).max(comm_end);
@@ -473,9 +455,7 @@ impl ServiceExecutor {
             !st.has_pending || st.error.is_some(),
             "removed a job that still has work"
         );
-        for &p in &st.ports {
-            self.owner[p] = None;
-        }
+        self.release(&st.ports);
         self.free_slots.push(slot);
         self.live -= 1;
         let report = if self.keep_reports && st.error.is_none() {
@@ -494,6 +474,40 @@ impl ServiceExecutor {
             report,
         })
     }
+
+    /// Returns `ports` to the free pool.
+    fn release(&mut self, ports: &[usize]) {
+        for &p in ports {
+            self.owner[p] = None;
+        }
+    }
+}
+
+/// Builds the global reconfiguration target for the job in `slot`: its
+/// desired circuits on its own ports, everything else kept as-is. Foreign
+/// circuits landing on an RX port the job claims are dropped (they can
+/// only exist if the initial configuration crossed partitions).
+fn tenant_target(
+    current: &Matching,
+    ports: &[usize],
+    local_target: &Matching,
+    owner: &[Option<usize>],
+    slot: usize,
+) -> Matching {
+    let n = current.n();
+    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(n);
+    let mut rx_claimed = vec![false; n];
+    for (s, d) in local_target.pairs() {
+        let (gs, gd) = (ports[s], ports[d]);
+        pairs.push((gs, gd));
+        rx_claimed[gd] = true;
+    }
+    for (s, d) in current.pairs() {
+        if owner[s] != Some(slot) && !rx_claimed[d] {
+            pairs.push((s, d));
+        }
+    }
+    Matching::from_pairs(n, &pairs).expect("disjoint tenant circuits form a matching")
 }
 
 #[cfg(test)]

@@ -28,16 +28,19 @@
 //!   [`SimError::Tenant`]; the remaining tenants keep running and their
 //!   reports are unaffected.
 //!
-//! Execution order is deterministic: the tenant with the earliest next
-//! fabric request runs its next step, ties broken by tenant index — no
+//! The tenant executor is a closed-set driver of the open-system
+//! [`ServiceExecutor`]: every tenant is admitted up front at its arrival
+//! time, and the executor's one step loop interleaves them. Execution
+//! order is deterministic: the tenant with the earliest next fabric
+//! request runs its next step, ties broken by tenant index — no
 //! randomness, no wall-clock, bit-identical results at any `APS_THREADS`.
 
 use crate::error::SimError;
-use crate::exec::{execute_step, RunConfig, StepInput};
+use crate::exec::RunConfig;
 use crate::record::{RecordSink, StepRecord};
 use crate::report::SimReport;
-use aps_collectives::{Schedule, ScheduleStream, Step, Workload, WorkloadCtx};
-use aps_core::ConfigChoice;
+use crate::service::{JobOutcome, ServiceExecutor, ServiceJobSpec, ServiceSwitching};
+use aps_collectives::ScheduleStream;
 use aps_cost::units::{secs_to_picos, Picos};
 use aps_fabric::Fabric;
 use aps_matrix::Matching;
@@ -122,50 +125,6 @@ pub(crate) fn map_matching(local: &Matching, ports: &[usize]) -> Result<Matching
         .map_err(|source| SimError::ConfigConflict { source })
 }
 
-/// Builds the global reconfiguration target for one tenant: the tenant's
-/// desired circuits on its own ports, everything else kept as-is. Foreign
-/// circuits landing on an RX port the tenant claims are dropped (they can
-/// only exist if the initial configuration crossed partitions).
-pub(crate) fn tenant_target(
-    current: &Matching,
-    ports: &[usize],
-    local_target: &Matching,
-    owned: &[bool],
-) -> Matching {
-    let n = current.n();
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(n);
-    let mut rx_claimed = vec![false; n];
-    for (s, d) in local_target.pairs() {
-        let (gs, gd) = (ports[s], ports[d]);
-        pairs.push((gs, gd));
-        rx_claimed[gd] = true;
-    }
-    for (s, d) in current.pairs() {
-        if !owned[s] && !rx_claimed[d] {
-            pairs.push((s, d));
-        }
-    }
-    Matching::from_pairs(n, &pairs).expect("disjoint tenant circuits form a matching")
-}
-
-/// Per-tenant progress while the run interleaves steps. Demand is pulled
-/// through the tenant schedule's [`Workload`] cursor, one pending step
-/// per tenant — the same pull interface the streaming executors use, so
-/// tenants are ready for genuinely lazy demand sources (the spec's own
-/// schedule is still materialized today).
-struct TenantState<'a> {
-    stream: ScheduleStream<&'a Schedule>,
-    /// The next step to execute, pre-pulled so the scheduler can see
-    /// which tenants still have work.
-    pending: Option<Step>,
-    /// Steps executed so far (the pending step's index).
-    executed: usize,
-    comm_end: Picos,
-    gpu_free: Picos,
-    report: SimReport,
-    failed: Option<SimError>,
-}
-
 /// Executes every tenant's schedule on the shared `fabric`.
 ///
 /// Returns one result per tenant, in input order: a completed
@@ -206,188 +165,91 @@ pub fn execute_tenants_recorded(
     fabric: &mut dyn Fabric,
     tenants: &[TenantSpec],
     cfg: &RunConfig,
-    mut sink: Option<&mut dyn RecordSink>,
+    sink: Option<&mut dyn RecordSink>,
 ) -> Result<Vec<Result<TenantReport, SimError>>, SimError> {
     let n = fabric.n();
     // Structural validation: the port partition must be sound before any
     // tenant touches the fabric.
-    let mut owner: Vec<Option<usize>> = vec![None; n];
+    let mut claimed = vec![false; n];
     for (t, spec) in tenants.iter().enumerate() {
         for &p in &spec.ports {
-            if p >= n || owner[p].is_some() {
+            if p >= n || claimed[p] {
                 return Err(SimError::BadTenantPorts { tenant: t, port: p });
             }
-            owner[p] = Some(t);
+            claimed[p] = true;
         }
     }
 
-    let mut states: Vec<TenantState<'_>> = Vec::with_capacity(tenants.len());
+    // Admit in input order with `id = tenant index`, so the executor's
+    // lowest-id tie-break is the lowest tenant index.
+    let mut exec = ServiceExecutor::new(n, *cfg, true);
+    let mut results: Vec<Option<Result<TenantReport, SimError>>> =
+        tenants.iter().map(|_| None).collect();
+    let mut tenant_of = vec![0; tenants.len()];
     for (t, spec) in tenants.iter().enumerate() {
-        let arrival = secs_to_picos(spec.arrival_s);
-        let mut state = TenantState {
-            pending: None,
-            stream: spec.schedule.stream(),
-            executed: 0,
-            comm_end: arrival,
-            gpu_free: arrival,
-            report: SimReport::default(),
-            failed: None,
+        let job = ServiceJobSpec {
+            name: spec.name.clone(),
+            ports: spec.ports.clone(),
+            base_config: spec.base_config.clone(),
+            workload: Box::new(ScheduleStream::new(spec.schedule.clone())),
+            switching: ServiceSwitching::Schedule(spec.switch_schedule.clone()),
         };
-        let n_t = spec.ports.len();
-        if spec.schedule.n() != n_t || spec.base_config.n() != n_t {
-            state.failed = Some(tenant_err(
-                t,
-                spec,
-                SimError::DimensionMismatch {
-                    fabric: n_t,
-                    collective: spec.schedule.n().max(spec.base_config.n()),
-                },
-            ));
-        } else if spec.switch_schedule.len() != spec.schedule.num_steps() {
-            state.failed = Some(tenant_err(
-                t,
-                spec,
-                SimError::ScheduleLengthMismatch {
-                    expected: spec.schedule.num_steps(),
-                    got: spec.switch_schedule.len(),
-                },
-            ));
-        } else {
-            state.pending = state.stream.next_step(&WorkloadCtx::at(0));
+        match exec.admit(t as u64, job, secs_to_picos(spec.arrival_s)) {
+            Ok(admission) if admission.has_work => tenant_of[admission.slot] = t,
+            Ok(admission) => {
+                let outcome = exec.remove(admission.slot).expect("admitted slot is live");
+                results[t] = Some(tenant_result(spec, outcome));
+            }
+            Err(e) => results[t] = Some(Err(tenant_err(t, spec, e))),
         }
-        states.push(state);
     }
 
-    // Interleave: always advance the tenant whose next fabric request is
-    // earliest (ties to the lowest tenant index). Requests therefore reach
-    // the controller in nondecreasing time order — first come, first
-    // served.
-    let mut scratch = crate::arena::StepScratch::new();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    loop {
-        let mut next: Option<(Picos, usize)> = None;
-        for (t, spec) in tenants.iter().enumerate() {
-            let st = &states[t];
-            if st.failed.is_some() || st.pending.is_none() {
-                continue;
-            }
-            // The same instant execute_step will request at — computed by
-            // the shared helper so scheduler order and request order can
-            // never drift apart.
-            let natural = crate::exec::natural_request_at(
-                cfg,
-                spec.ports.len(),
-                st.executed == 0,
-                st.comm_end,
-                st.gpu_free,
-            );
-            if next.is_none_or(|(at, _)| natural < at) {
-                next = Some((natural, t));
-            }
+    let mut tags = sink.map(|sink| TenantTags { sink, tenant_of });
+    while exec.next_request_at().is_some() {
+        let sink = tags.as_mut().map(|s| s as &mut dyn RecordSink);
+        if let Some(departure) = exec.execute_next(fabric, sink) {
+            let outcome = exec.remove(departure.slot).expect("departed slot is live");
+            let t = outcome.id as usize;
+            results[t] = Some(tenant_result(&tenants[t], outcome));
         }
-        let Some((_, t)) = next else {
-            break; // every tenant finished or failed
-        };
-
-        let spec = &tenants[t];
-        let i = states[t].executed;
-        let step = states[t].pending.take().expect("scheduled tenant has work");
-        let matched = spec.switch_schedule.choice(i) == ConfigChoice::Matched;
-        let local_target = if matched {
-            &step.matching
-        } else {
-            &spec.base_config
-        };
-        let owned: Vec<bool> = (0..n).map(|p| owner[p] == Some(t)).collect();
-        let target = tenant_target(fabric.current(), &spec.ports, local_target, &owned);
-        pairs.clear();
-        pairs.extend(
-            step.matching
-                .pairs()
-                .map(|(s, d)| (spec.ports[s], spec.ports[d])),
-        );
-        let input = StepInput {
-            step: i,
-            matched,
-            target: &target,
-            pairs: &pairs,
-            bytes_per_pair: step.bytes_per_pair,
-            barrier_n: spec.ports.len(),
-            first: i == 0,
-        };
-        let trace_before = states[t].report.trace.len();
-        let step_idx = states[t].report.steps.len();
-        let (comm_end, gpu_free) = {
-            let st = &mut states[t];
-            match execute_step(
-                fabric,
-                &input,
-                cfg,
-                true,
-                st.comm_end,
-                st.gpu_free,
-                &mut st.report,
-                &mut scratch,
-            ) {
-                Ok(clocks) => clocks,
-                Err(e) => {
-                    st.failed = Some(tenant_err(t, spec, e));
-                    continue;
-                }
-            }
-        };
-        if let Some(s) = sink.as_deref_mut() {
-            let st = &states[t];
-            s.record_step(&StepRecord {
-                step: i,
-                tenant: Some(t),
-                matched,
-                report: &st.report.steps[step_idx],
-                events: &st.report.trace[trace_before..],
-                config: fabric.current(),
-                busy_until: fabric.busy_until(),
-            });
-        }
-        let st = &mut states[t];
-        st.comm_end = comm_end;
-        st.gpu_free = gpu_free;
-        st.executed += 1;
-        st.pending = st.stream.next_step(&WorkloadCtx::at(st.executed));
     }
-
-    Ok(states
+    Ok(results
         .into_iter()
-        .zip(tenants)
-        .map(|(mut st, spec)| match st.failed.take() {
-            Some(e) => Err(e),
-            None => {
-                st.report.total_ps = st.gpu_free;
-                Ok(TenantReport {
-                    name: spec.name.clone(),
-                    arrival_ps: secs_to_picos(spec.arrival_s),
-                    finish_ps: st.gpu_free,
-                    report: st.report,
-                })
-            }
-        })
+        .map(|r| r.expect("every admitted tenant departs"))
         .collect())
 }
 
-/// Executes every tenant's schedule on the shared `fabric`.
-///
-/// # Errors
-///
-/// See [`execute_tenants`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `adaptive_photonics::Experiment::…::simulate()` or `execute_tenants`"
-)]
-pub fn run_tenants(
-    fabric: &mut dyn Fabric,
-    tenants: &[TenantSpec],
-    cfg: &RunConfig,
-) -> Result<Vec<Result<TenantReport, SimError>>, SimError> {
-    execute_tenants(fabric, tenants, cfg)
+/// Forwards the executor's records with each slot tag mapped back to the
+/// tenant's input index: a tenant rejected at admission takes no slot and
+/// an empty one frees its slot at once, so slots drift from indices.
+struct TenantTags<'a> {
+    sink: &'a mut dyn RecordSink,
+    /// `tenant_of[slot]` = input index of the tenant in that slot.
+    tenant_of: Vec<usize>,
+}
+
+impl RecordSink for TenantTags<'_> {
+    fn record_step(&mut self, record: &StepRecord<'_>) {
+        self.sink.record_step(&StepRecord {
+            tenant: record.tenant.map(|slot| self.tenant_of[slot]),
+            ..*record
+        });
+    }
+}
+
+/// A departed job's outcome as its tenant's result (`id` = tenant index).
+fn tenant_result(spec: &TenantSpec, outcome: JobOutcome) -> Result<TenantReport, SimError> {
+    match outcome.error {
+        Some(e) => Err(tenant_err(outcome.id as usize, spec, e)),
+        None => Ok(TenantReport {
+            name: outcome.name,
+            arrival_ps: outcome.start_ps,
+            finish_ps: outcome.finish_ps,
+            report: outcome
+                .report
+                .expect("reports are kept for every tenant that did not fail"),
+        }),
+    }
 }
 
 fn tenant_err(t: usize, spec: &TenantSpec, source: SimError) -> SimError {
