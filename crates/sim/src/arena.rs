@@ -26,10 +26,11 @@
 //! * **Per-round** — mutated incrementally *within* one fluid simulation
 //!   as completion rounds retire flows: rates, remaining volumes, the
 //!   ping-pong `active`/`still` generation pair (swapped each round, never
-//!   reallocated), and the link→flows index (built once per simulation,
-//!   then maintained by removal as flows depart — see
-//!   `FluidEngine::affected_by`'s old per-completion rebuild, the bug this
-//!   class exists to prevent).
+//!   reallocated), the max-min solver's per-flow freeze flags and
+//!   per-link bottleneck heap (reloaded by each solve), and the link→flows
+//!   index (built once per simulation, then maintained by removal as flows
+//!   depart — see `FluidEngine::affected_by`'s old per-completion rebuild,
+//!   the bug this class exists to prevent).
 //!
 //! The invariant is regression-tested: a counting `#[global_allocator]`
 //! test (`crates/sim/tests/zero_alloc.rs`) proves a 100k-step endless
@@ -70,7 +71,7 @@ pub struct FluidScratch {
     pub(crate) completed: Vec<usize>,
 
     // --- per-component max-min solver scratch (per-round) ---
-    /// Freeze flags, indexed like the solved flow subset.
+    /// Freeze flags per flow id; a solve resets only its own flows'.
     pub(crate) frozen: Vec<bool>,
     /// Dense ascending list of links the solved subset uses.
     pub(crate) links: Vec<usize>,
@@ -80,6 +81,9 @@ pub struct FluidScratch {
     pub(crate) cap_left: Vec<f64>,
     /// Unfrozen-user count per dense link.
     pub(crate) users: Vec<usize>,
+    /// The bottleneck heap over the dense links: heap array, position
+    /// map, fair-share keys and the round's touched list, each O(links).
+    pub(crate) heap: crate::fluid::LinkHeap,
 
     // --- link→flows sharing index (built once per simulation, then
     // --- maintained incrementally as flows complete) ---

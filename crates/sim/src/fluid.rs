@@ -20,17 +20,23 @@
 //!   the earliest candidate drain. Simultaneous completions are handled
 //!   deterministically with stable flow-id ordering — the active list is
 //!   kept ascending, completions are collected in that order, and the
-//!   per-component solver freezes flows in the same order — so results
-//!   are identical on every run and at any `APS_THREADS` setting. (A
+//!   per-component solver's result does not depend on the order in which
+//!   it freezes flows (invariant 3) — so results are identical on every
+//!   run and at any `APS_THREADS` setting. (A
 //!   *persistent* event queue would buy nothing here: bit-identity with
 //!   the seed arithmetic, below, requires re-materializing every flow's
 //!   remaining volume — and hence every candidate event — each round.);
 //! * rates are recomputed **incrementally**: when flows finish, only the
 //!   links whose user sets changed — the connected sharing component(s) of
 //!   the departed flows — are re-solved. Flows in untouched components keep
-//!   their cached rates and bottleneck levels. This removes the solver —
-//!   the `bottlenecks × (links + flows·hops)` factor — from the per-event
-//!   cost for everything the completion didn't touch.
+//!   their cached rates and bottleneck levels, so the solver drops out of
+//!   the per-event cost for everything the completion didn't touch;
+//! * each solve is **sub-quadratic**: the next bottleneck comes off an
+//!   indexed min-heap of links, and a round freezes flows through the
+//!   link→flows index and re-keys only the links on their paths. A solve
+//!   over `L` links and `Σhops` path entries costs
+//!   `O(L + Σhops·log L)`, where the seed's linear scans cost
+//!   `O(rounds·(L + Σhops))` with rounds ≈ `L`.
 //!
 //! ## Incremental-recompute invariants
 //!
@@ -46,12 +52,16 @@
 //!    restricted to one component, equals the component-local bottleneck
 //!    sequence: picking a bottleneck in another component touches neither
 //!    this component's residual capacities nor its user counts.
-//! 3. **Stable order** — bottleneck links are scanned in ascending link id
-//!    and flows freeze in ascending flow id, in both the global and the
-//!    per-component solver, so ties break identically.
+//! 3. **Stable order** — the bottleneck is the heap minimum under the key
+//!    `(fair share, link id)`, which is exactly the link the seed's
+//!    ascending-id scan picks as its first strict minimum, so ties break
+//!    identically. The order in which a round's flows freeze does not
+//!    matter: each applies the same `(cap_left - fair).max(0.0)` to its
+//!    links, so every link ends the round with the same bits.
 //!
 //! Together these make the event engine **bit-identical** to the seed
-//! from-scratch engine (kept as [`mod@reference`]): per round the engine
+//! from-scratch engine (kept with its own solver as [`mod@reference`]):
+//! every f64 operation is the seed's, and per round the engine
 //! advances `t += dt` with `dt` drawn from the earliest completion event
 //! (equal to the fold-min the seed computed, since `min` over finite
 //! floats is order-independent) and materializes every active flow's
@@ -74,67 +84,195 @@ pub struct FlowSpec {
 /// capacity, by progressive filling: repeatedly find the tightest link
 /// (smallest fair share among links still carrying unfrozen flows, ties to
 /// the lowest link id) and freeze every flow crossing it at that fair
-/// share. Returns bytes-per-second per flow, in input order.
+/// share. Returns bytes-per-second per flow, in input order; a flow with an
+/// empty path gets rate 0, and so does every user of a zero-capacity link.
 ///
 /// The allocation is the unique max-min fair point: no link is
 /// oversubscribed, and no flow's rate can be raised without lowering the
 /// rate of a flow that is no faster (see `crates/sim/tests/maxmin.rs`).
+/// It runs the event engine's kernel (`solve_subset`) on a fresh
+/// [`FluidScratch`] holding every flow: O(L + Σhops·log L) for L used
+/// links. Capacities must be non-negative and not NaN.
 pub fn max_min_rates(link_caps: &[f64], paths: &[&[usize]]) -> Vec<f64> {
-    let f = paths.len();
-    let mut rates = vec![0.0f64; f];
-    let mut frozen = vec![false; f];
-    let mut cap_left = link_caps.to_vec();
-    let mut link_users: Vec<usize> = vec![0; link_caps.len()];
+    let mut s = FluidScratch::new();
+    s.start();
     for p in paths {
         for &l in *p {
-            link_users[l] += 1;
+            s.push_link(l);
+        }
+        s.seal_flow(0.0);
+    }
+    s.rates.resize(paths.len(), 0.0);
+    s.active.extend(0..paths.len());
+    solve_active(&mut s, link_caps);
+    s.rates
+}
+
+/// Indexed binary min-heap over a solve's dense links, keyed by
+/// `(fair share, dense index)`. Dense indices ascend with link id, so the
+/// minimum is the link the seed solver's scan picked: the smallest fair
+/// share, ties to the lowest link id. Keys compare with
+/// [`f64::total_cmp`], which agrees with `<` on the non-negative,
+/// non-NaN fair shares a solve produces.
+///
+/// Every buffer is O(links) and recycled across solves: the heap holds
+/// exactly the links that still carry unfrozen flows (no stale entries),
+/// and a link touched several times in one round is re-keyed once.
+#[derive(Debug, Default)]
+pub(crate) struct LinkHeap {
+    /// Dense links in heap order; `heap[0]` is the next bottleneck.
+    heap: Vec<usize>,
+    /// Dense link → its position in `heap`; [`UNUSED`] once removed.
+    pos: Vec<usize>,
+    /// Fair share per dense link (`cap_left / users`): the heap key.
+    fair: Vec<f64>,
+    /// Dense links touched in the current round, each listed once.
+    touched: Vec<usize>,
+    /// Per dense link: already in `touched`.
+    is_touched: Vec<bool>,
+}
+
+impl LinkHeap {
+    /// Loads every dense link with key `cap_left[k] / users[k]` (all
+    /// `users` must be positive) and heapifies in O(links).
+    fn build(&mut self, cap_left: &[f64], users: &[usize]) {
+        let n = cap_left.len();
+        self.fair.clear();
+        self.fair
+            .extend(cap_left.iter().zip(users).map(|(&c, &u)| c / u as f64));
+        self.heap.clear();
+        self.heap.extend(0..n);
+        self.pos.clear();
+        self.pos.extend(0..n);
+        self.touched.clear();
+        self.is_touched.clear();
+        self.is_touched.resize(n, false);
+        for p in (0..n / 2).rev() {
+            self.sift_down(p);
         }
     }
-    loop {
-        // Find the tightest link among those still carrying unfrozen flows.
-        let mut best: Option<(usize, f64)> = None;
-        for (l, &users) in link_users.iter().enumerate() {
-            if users > 0 {
-                let fair = cap_left[l] / users as f64;
-                if best.is_none_or(|(_, b)| fair < b) {
-                    best = Some((l, fair));
-                }
-            }
-        }
-        let Some((bottleneck, fair)) = best else {
-            break;
-        };
-        // Freeze every unfrozen flow crossing the bottleneck at `fair`.
-        for (i, p) in paths.iter().enumerate() {
-            if !frozen[i] && p.contains(&bottleneck) {
-                frozen[i] = true;
-                rates[i] = fair;
-                for &l in *p {
-                    cap_left[l] = (cap_left[l] - fair).max(0.0);
-                    link_users[l] -= 1;
-                }
-            }
+
+    /// The tightest link and its fair share, or `None` once every link's
+    /// users are frozen.
+    fn min(&self) -> Option<(usize, f64)> {
+        self.heap.first().map(|&k| (k, self.fair[k]))
+    }
+
+    /// Notes that link `k`'s residual capacity or user count changed this
+    /// round.
+    fn touch(&mut self, k: usize) {
+        if !self.is_touched[k] {
+            self.is_touched[k] = true;
+            self.touched.push(k);
         }
     }
-    rates
+
+    /// Ends a round: re-keys every touched link from its new residual
+    /// capacity and user count, and removes those left without users.
+    fn rekey_touched(&mut self, cap_left: &[f64], users: &[usize]) {
+        for idx in 0..self.touched.len() {
+            let k = self.touched[idx];
+            self.is_touched[k] = false;
+            if users[k] == 0 {
+                self.remove(k);
+            } else {
+                self.fair[k] = cap_left[k] / users[k] as f64;
+                let p = self.sift_up(self.pos[k]);
+                self.sift_down(p);
+            }
+        }
+        self.touched.clear();
+    }
+
+    fn remove(&mut self, k: usize) {
+        let p = self.pos[k];
+        self.pos[k] = UNUSED;
+        let last = self.heap.pop().expect("a removed link is in the heap");
+        if p < self.heap.len() {
+            self.heap[p] = last;
+            let p = self.sift_up(p);
+            self.sift_down(p);
+        }
+    }
+
+    fn less(&self, a: usize, b: usize) -> bool {
+        self.fair[a]
+            .total_cmp(&self.fair[b])
+            .then(a.cmp(&b))
+            .is_lt()
+    }
+
+    /// Moves the link at position `p` toward the root; returns its final
+    /// position.
+    fn sift_up(&mut self, mut p: usize) -> usize {
+        let k = self.heap[p];
+        while p > 0 {
+            let parent = (p - 1) / 2;
+            let q = self.heap[parent];
+            if !self.less(k, q) {
+                break;
+            }
+            self.heap[p] = q;
+            self.pos[q] = p;
+            p = parent;
+        }
+        self.heap[p] = k;
+        self.pos[k] = p;
+        p
+    }
+
+    /// Moves the link at position `p` toward the leaves.
+    fn sift_down(&mut self, mut p: usize) {
+        let k = self.heap[p];
+        let n = self.heap.len();
+        loop {
+            let mut c = 2 * p + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && self.less(self.heap[c + 1], self.heap[c]) {
+                c += 1;
+            }
+            let q = self.heap[c];
+            if !self.less(q, k) {
+                break;
+            }
+            self.heap[p] = q;
+            self.pos[q] = p;
+            p = c;
+        }
+        self.heap[p] = k;
+        self.pos[k] = p;
+    }
 }
 
 /// Re-solves max-min progressive filling restricted to `flows` (ascending
 /// flow ids forming a union of sharing components), writing the new rates
-/// into `s.rates` in place. Only links used by these flows are scanned —
+/// into `s.rates` in place. Only links used by these flows are touched —
 /// by the isolation invariant the result is bitwise what a full global
 /// re-solve would assign them.
+///
+/// Each round takes the tightest link from [`LinkHeap`] and freezes the
+/// unfrozen flows crossing it through `s.flows_of_link`, which must hold
+/// exactly the active flows, so every flow on a link of `flows` is in
+/// `flows`. Only links on the frozen flows' paths are re-keyed, so a solve
+/// costs O(L + Σhops·log L) for L used links, not the seed scan's
+/// O(rounds·(L + Σhops)).
 ///
 /// `flows` is passed separately (typically `mem::take`n out of the scratch)
 /// so the scratch's own buffers stay mutably borrowable; `s.slot` entries
 /// are restored to [`UNUSED`] on exit, so no O(links) reset is ever needed.
 fn solve_subset(s: &mut FluidScratch, caps: &[f64], flows: &[usize]) {
-    s.frozen.clear();
-    s.frozen.resize(flows.len(), false);
-    // Residual capacity and user count, only for links these flows use.
-    // Links are scanned in ascending id via a sorted dense list so tie
-    // breaking matches the global solver; `slot` maps link id → dense
-    // index for O(1) lookups on the freeze path.
+    let num_flows = s.path_off.len() - 1;
+    if s.frozen.len() < num_flows {
+        s.frozen.resize(num_flows, false);
+    }
+    for &i in flows {
+        s.frozen[i] = false;
+    }
+    // Residual capacity and user count, only for links these flows use,
+    // in a dense list sorted by link id so dense order is id order (the
+    // heap's tie-break); `slot` maps link id → dense index.
     if s.slot.len() < caps.len() {
         s.slot.resize(caps.len(), UNUSED);
     }
@@ -163,37 +301,44 @@ fn solve_subset(s: &mut FluidScratch, caps: &[f64], flows: &[usize]) {
             s.users[s.slot[s.path_data[h]]] += 1;
         }
     }
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for (k, &u) in s.users.iter().enumerate() {
-            if u > 0 {
-                let fair = s.cap_left[k] / u as f64;
-                if best.is_none_or(|(_, b)| fair < b) {
-                    best = Some((k, fair));
-                }
+    s.heap.build(&s.cap_left, &s.users);
+    while let Some((top, fair)) = s.heap.min() {
+        // Freeze every unfrozen flow crossing the bottleneck at `fair`.
+        // Each subtracts the same `fair`, so the index's order is moot.
+        let bottleneck = s.links[top];
+        for j in 0..s.flows_of_link[bottleneck].len() {
+            let i = s.flows_of_link[bottleneck][j];
+            if s.frozen[i] {
+                continue;
+            }
+            s.frozen[i] = true;
+            s.rates[i] = fair;
+            for h in s.path_off[i]..s.path_off[i + 1] {
+                let d = s.slot[s.path_data[h]];
+                s.cap_left[d] = (s.cap_left[d] - fair).max(0.0);
+                s.users[d] -= 1;
+                s.heap.touch(d);
             }
         }
-        let Some((bottleneck_slot, fair)) = best else {
-            break;
-        };
-        let bottleneck = s.links[bottleneck_slot];
-        for (k, &i) in flows.iter().enumerate() {
-            if !s.frozen[k] && s.path_data[s.path_off[i]..s.path_off[i + 1]].contains(&bottleneck) {
-                s.frozen[k] = true;
-                s.rates[i] = fair;
-                for h in s.path_off[i]..s.path_off[i + 1] {
-                    let d = s.slot[s.path_data[h]];
-                    s.cap_left[d] = (s.cap_left[d] - fair).max(0.0);
-                    s.users[d] -= 1;
-                }
-            }
-        }
+        debug_assert_eq!(s.users[top], 0, "link→flows index out of sync");
+        s.heap.rekey_touched(&s.cap_left, &s.users);
     }
     // Restore the slot map's "all UNUSED" invariant for the next solve.
     for idx in 0..s.links.len() {
         let l = s.links[idx];
         s.slot[l] = UNUSED;
     }
+}
+
+/// Builds the sharing index over `s.active` and solves every active flow.
+fn solve_active(s: &mut FluidScratch, caps: &[f64]) {
+    build_link_index(s, caps.len());
+    // The active list is taken out and put back so the scratch stays
+    // mutably borrowable — `mem::take` swaps in an unallocated empty Vec,
+    // so this costs nothing on the heap.
+    let all = std::mem::take(&mut s.active);
+    solve_subset(s, caps, &all);
+    s.active = all;
 }
 
 /// Computes the flows whose rates may change when `s.completed` depart:
@@ -305,15 +450,9 @@ pub fn simulate_flows_scratch(link_caps_bytes_per_s: &[f64], s: &mut FluidScratc
             s.active.push(i);
         }
     }
-    // The sharing index: built once here, maintained incrementally below.
-    build_link_index(s, caps.len());
-    // Initial allocation: one full solve (all flows are "affected"). The
-    // active list is taken out and put back so the scratch stays mutably
-    // borrowable — `mem::take` swaps in an unallocated empty Vec, so this
-    // costs nothing on the heap.
-    let all = std::mem::take(&mut s.active);
-    solve_subset(s, caps, &all);
-    s.active = all;
+    // The sharing index is built once here and maintained incrementally
+    // below; the initial allocation is one full solve.
+    solve_active(s, caps);
 
     let mut t = 0.0f64;
     // Each round retires at least one flow: ≤ F rounds.
@@ -395,13 +534,59 @@ pub fn simulate_flows(link_caps_bytes_per_s: &[f64], specs: &[FlowSpec]) -> Vec<
 }
 
 pub mod reference {
-    //! The seed from-scratch engine, kept verbatim as the differential
-    //! oracle: it re-runs the full progressive-filling solver over all
-    //! links and all active flows after every completion. The event engine
-    //! in the parent module must match it bit-for-bit (see
-    //! `tests/fluid_differential.rs` at the workspace root).
+    //! The seed from-scratch engine and its progressive-filling solver,
+    //! kept verbatim as the differential oracle: it re-runs the full
+    //! linear-scan solver over all links and all active flows after every
+    //! completion. It shares no solver code with the parent module, whose
+    //! event engine and [`super::max_min_rates`] must match it bit-for-bit
+    //! (see `tests/fluid_differential.rs` and `tests/fluid_ties.rs` at the
+    //! workspace root).
 
-    use super::{max_min_rates, FlowSpec};
+    use super::FlowSpec;
+
+    /// Seed implementation of [`super::max_min_rates`]: each round scans
+    /// every link for the smallest fair share (ties to the lowest link id)
+    /// and every flow's path for the bottleneck —
+    /// O(rounds·(links + Σhops)).
+    pub fn max_min_rates_reference(link_caps: &[f64], paths: &[&[usize]]) -> Vec<f64> {
+        let f = paths.len();
+        let mut rates = vec![0.0f64; f];
+        let mut frozen = vec![false; f];
+        let mut cap_left = link_caps.to_vec();
+        let mut link_users: Vec<usize> = vec![0; link_caps.len()];
+        for p in paths {
+            for &l in *p {
+                link_users[l] += 1;
+            }
+        }
+        loop {
+            // Find the tightest link among those still carrying unfrozen flows.
+            let mut best: Option<(usize, f64)> = None;
+            for (l, &users) in link_users.iter().enumerate() {
+                if users > 0 {
+                    let fair = cap_left[l] / users as f64;
+                    if best.is_none_or(|(_, b)| fair < b) {
+                        best = Some((l, fair));
+                    }
+                }
+            }
+            let Some((bottleneck, fair)) = best else {
+                break;
+            };
+            // Freeze every unfrozen flow crossing the bottleneck at `fair`.
+            for (i, p) in paths.iter().enumerate() {
+                if !frozen[i] && p.contains(&bottleneck) {
+                    frozen[i] = true;
+                    rates[i] = fair;
+                    for &l in *p {
+                        cap_left[l] = (cap_left[l] - fair).max(0.0);
+                        link_users[l] -= 1;
+                    }
+                }
+            }
+        }
+        rates
+    }
 
     /// Seed implementation of [`super::simulate_flows`]: full max-min
     /// recompute at every completion.
@@ -428,7 +613,7 @@ pub mod reference {
         let mut t = 0.0f64;
         while !active.is_empty() {
             let paths: Vec<&[usize]> = active.iter().map(|&i| specs[i].path.as_slice()).collect();
-            let rates = max_min_rates(link_caps_bytes_per_s, &paths);
+            let rates = max_min_rates_reference(link_caps_bytes_per_s, &paths);
             debug_assert!(rates.iter().all(|&r| r > 0.0), "active flow starved");
             let dt = active
                 .iter()

@@ -88,15 +88,25 @@ const WARMUP: usize = 200;
 /// The steady-state stretch whose allocation delta must be zero.
 const EXTRA: usize = 100_000;
 
-/// Runs `steps` of the endless training loop under `controller` on a
-/// fresh fabric, returning the summary and the allocation count the run
-/// spent.
-fn run(steps: usize, controller: &dyn Controller) -> (StreamSummary, u64) {
-    let base = builders::ring_unidirectional(N).unwrap();
-    let ring = Matching::shift(N, 1).unwrap();
+/// The at-scale case: a 1024-port ring under `Greedy`, the shape whose
+/// steps are dominated by the max-min solve over ~1024 links. It shows the
+/// solver's bottleneck heap and position map recycle at scale.
+const N_LARGE: usize = 1024;
+/// Two epochs of the 28-step loop: every θ miss is priced and every
+/// buffer has reached its high-water mark.
+const WARMUP_LARGE: usize = 56;
+/// Two more epochs, so every step shape recurs in the measured stretch.
+const EXTRA_LARGE: usize = 56;
+
+/// Runs `steps` of the endless `n`-port training loop under `controller`
+/// on a fresh fabric, returning the summary and the allocation count the
+/// run spent.
+fn run(n: usize, steps: usize, controller: &dyn Controller) -> (StreamSummary, u64) {
+    let base = builders::ring_unidirectional(n).unwrap();
+    let ring = Matching::shift(n, 1).unwrap();
     let reconfig = ReconfigModel::constant(5e-6).unwrap();
     let mut fabric = CircuitSwitch::new(ring, reconfig);
-    let mut workload = TrainingLoop::new(N, 4, MIB, 4.0 * MIB, None).unwrap();
+    let mut workload = TrainingLoop::new(n, 4, MIB, 4.0 * MIB, None).unwrap();
     let pricing = StreamPricing::new(reconfig);
     let cfg = RunConfig::paper_defaults();
     let before = allocs();
@@ -117,21 +127,22 @@ fn run(steps: usize, controller: &dyn Controller) -> (StreamSummary, u64) {
 fn steady_state_step_allocates_nothing() {
     // One test fn, and only this thread feeds the counter.
     TRACK.with(|t| t.set(true));
-    for (name, controller) in [
-        ("static", &Static as &dyn Controller),
-        ("always-reconfigure", &AlwaysReconfigure),
-        ("greedy", &Greedy),
+    for (name, n, warmup, extra, controller) in [
+        ("static", N, WARMUP, EXTRA, &Static as &dyn Controller),
+        ("always-reconfigure", N, WARMUP, EXTRA, &AlwaysReconfigure),
+        ("greedy", N, WARMUP, EXTRA, &Greedy),
+        ("greedy-1024", N_LARGE, WARMUP_LARGE, EXTRA_LARGE, &Greedy),
     ] {
-        let (short, allocs_short) = run(WARMUP, controller);
-        let (long, allocs_long) = run(WARMUP + EXTRA, controller);
-        assert_eq!(short.steps, WARMUP, "{name}: short run executed");
-        assert_eq!(long.steps, WARMUP + EXTRA, "{name}: long run executed");
+        let (short, allocs_short) = run(n, warmup, controller);
+        let (long, allocs_long) = run(n, warmup + extra, controller);
+        assert_eq!(short.steps, warmup, "{name}: short run executed");
+        assert_eq!(long.steps, warmup + extra, "{name}: long run executed");
         // The long run strictly extends the short one.
         assert!(long.total_ps > short.total_ps, "{name}: stream advanced");
         let delta = allocs_long - allocs_short;
         assert_eq!(
             delta, 0,
-            "{name}: {EXTRA} steady-state steps performed {delta} heap \
+            "{name}: {extra} steady-state steps performed {delta} heap \
              allocations (want 0); warm-up spent {allocs_short}"
         );
     }
