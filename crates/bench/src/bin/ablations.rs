@@ -20,11 +20,11 @@ use aps_bench::cli::emit_bench_report;
 use aps_bench::figures::{panel, run_panel, Panel};
 use aps_bench::output::{write_result, Json};
 use aps_collectives::{allreduce, alltoall, broadcast};
+use aps_core::controller::{AlwaysReconfigure, DpPlanned, Static};
 use aps_core::multibase::build_multibase;
-use aps_core::objective::ReconfigAccounting;
-use aps_core::policies::{evaluate_policy, Policy};
-use aps_core::sweep::{SweepCell, SweepGrid};
-use aps_core::{SwitchSchedule, SwitchingProblem};
+use aps_core::objective::{evaluate, ReconfigAccounting};
+use aps_core::sweep::SweepGrid;
+use aps_core::{Controller, PolicyComparison, SwitchSchedule, SwitchingProblem};
 use aps_cost::units::{format_bytes, format_time, MIB, NANOS};
 use aps_cost::{CostParams, ReconfigModel};
 use aps_flow::solver::{ThetaCache, ThroughputSolver};
@@ -191,7 +191,7 @@ fn heuristic() -> PanelSummary {
     println!("== A1: threshold heuristic optimality gap (n = 64, halving-doubling) ==");
     let result =
         run_panel(&panel(Panel::A), 64, &SweepGrid::paper_default()).expect("sweep failed");
-    let gaps = result.map(SweepCell::threshold_gap);
+    let gaps = result.map(PolicyComparison::threshold_gap);
     let flat: Vec<f64> = gaps.iter().flatten().copied().collect();
     let worst = flat.iter().cloned().fold(1.0, f64::max);
     let mean = flat.iter().sum::<f64>() / flat.len() as f64;
@@ -424,12 +424,12 @@ fn vardelay() -> PanelSummary {
             reconfig,
         )
         .expect("problem");
-        for policy in [Policy::StaticBase, Policy::AlwaysMatched, Policy::Optimal] {
-            let r = evaluate_policy(&p, policy, acc).unwrap();
-            println!("  {name:>22} | {:>9}: {:.6} s", policy.name(), r.total_s());
-            csv.push_str(&format!("{name},{},{}\n", policy.name(), r.total_s()));
+        for c in [&Static as &dyn Controller, &AlwaysReconfigure, &DpPlanned] {
+            let r = evaluate(&p, &c.plan(&p, acc).unwrap(), acc).unwrap();
+            println!("  {name:>22} | {:>9}: {:.6} s", c.name(), r.total_s());
+            csv.push_str(&format!("{name},{},{}\n", c.name(), r.total_s()));
             s.push(
-                &format!("model={name};policy={}", policy.name()),
+                &format!("model={name};policy={}", c.name()),
                 "completion_s",
                 r.total_s(),
             );
@@ -515,7 +515,7 @@ fn sim_validate() -> PanelSummary {
         ("swing", allreduce::swing::build(n, MIB).unwrap()),
         ("alltoall", alltoall::linear_shift(n, MIB).unwrap()),
     ];
-    let policies = [Policy::StaticBase, Policy::AlwaysMatched, Policy::Optimal];
+    let policies = [&Static as &dyn Controller, &AlwaysReconfigure, &DpPlanned];
     // The simulator is physical: compare under PhysicalDiff.
     let acc = ReconfigAccounting::PhysicalDiff;
     // Phase 1 — analytic side, one task per workload (private θ cache):
@@ -532,10 +532,8 @@ fn sim_validate() -> PanelSummary {
         .expect("problem");
         policies
             .map(|policy| {
-                let schedule = aps_core::policies::schedule_for(&problem, policy, acc).unwrap();
-                let model = aps_core::objective::evaluate(&problem, &schedule, acc)
-                    .unwrap()
-                    .total_s();
+                let schedule = policy.plan(&problem, acc).unwrap();
+                let model = evaluate(&problem, &schedule, acc).unwrap().total_s();
                 (schedule, model)
             })
             .to_vec()
@@ -612,11 +610,8 @@ fn propagation() -> PanelSummary {
             )
             .expect("problem");
             let acc = ReconfigAccounting::PaperConservative;
-            let st = evaluate_policy(&p, Policy::StaticBase, acc)
-                .unwrap()
-                .total_s();
-            let opt = evaluate_policy(&p, Policy::Optimal, acc).unwrap().total_s();
-            (st, opt)
+            let price = |c: &dyn Controller| evaluate(&p, &c.plan(&p, acc).unwrap(), acc).unwrap();
+            (price(&Static).total_s(), price(&DpPlanned).total_s())
         },
     );
     let mut s = PanelSummary::new("a7-propagation");
@@ -679,11 +674,8 @@ fn basetopo() -> PanelSummary {
         )
         .expect("problem");
         let acc = ReconfigAccounting::PaperConservative;
-        let st = evaluate_policy(&p, Policy::StaticBase, acc)
-            .unwrap()
-            .total_s();
-        let opt = evaluate_policy(&p, Policy::Optimal, acc).unwrap().total_s();
-        (st, opt)
+        let price = |c: &dyn Controller| evaluate(&p, &c.plan(&p, acc).unwrap(), acc).unwrap();
+        (price(&Static).total_s(), price(&DpPlanned).total_s())
     });
     let mut s = PanelSummary::new("a9-basetopo");
     for (&(ci, alpha_r), &(st, opt)) in tasks.iter().zip(&rows) {

@@ -26,7 +26,8 @@ use aps_bench::figures::{
 };
 use aps_bench::output::{write_result, Json};
 use aps_core::analysis::{render_heatmap, to_csv};
-use aps_core::sweep::{SweepCell, SweepGrid};
+use aps_core::sweep::SweepGrid;
+use aps_core::PolicyComparison;
 use aps_flow::CacheStats;
 use aps_par::Pool;
 
@@ -59,9 +60,9 @@ fn main() {
         let result = run_panel_on(&pool, &spec, n, &grid)
             .unwrap_or_else(|e| panic!("panel {:?} failed: {e}", p));
         let values = if spec.vs_bvn {
-            result.map(SweepCell::speedup_vs_bvn)
+            result.map(PolicyComparison::speedup_vs_bvn)
         } else {
-            result.map(SweepCell::speedup_vs_static)
+            result.map(PolicyComparison::speedup_vs_static)
         };
         println!("{}", render_heatmap(&spec.title(), &result.grid, &values));
         let csv = to_csv(&result.grid, &values);

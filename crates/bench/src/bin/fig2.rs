@@ -21,7 +21,8 @@ use aps_bench::figures::{
 };
 use aps_bench::output::{write_result, Json};
 use aps_core::analysis::{render_heatmap, render_regimes, to_csv};
-use aps_core::sweep::{SweepCell, SweepGrid};
+use aps_core::sweep::SweepGrid;
+use aps_core::PolicyComparison;
 use aps_par::Pool;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
     let started = std::time::Instant::now();
     let result = run_panel_on(&pool, &spec, n, &grid).expect("figure 2 sweep failed");
     let wall_s = started.elapsed().as_secs_f64();
-    let values = result.map(SweepCell::speedup_vs_best_of_both);
+    let values = result.map(PolicyComparison::speedup_vs_best_of_both);
     let title = format!(
         "Figure 2: speedup of OPT vs best-of-both (static, BvN) — {}, n = {n}, \
          {} worker thread(s)",

@@ -247,31 +247,41 @@ fn baseline(args: &[String]) -> i32 {
 
 /// Parses the `entries` of a baseline file written by [`baseline`]:
 /// `(name, threads, wall_s)` triples, read line-by-line from this tool's
-/// own format (keys appear in `name`, `threads`, `wall_s` order).
-fn baseline_entries(body: &str) -> Vec<(String, u64, f64)> {
+/// own format (keys appear in `name`, `threads`, `wall_s` order; an entry
+/// without `threads` is a 1-thread entry). The file is hand-edited, so a
+/// value that does not parse is an error naming `path` and the key.
+fn baseline_entries(body: &str, path: &str) -> Result<Vec<(String, u64, f64)>, String> {
+    let bad = |key: &str, v: &str| format!("{path}: cannot parse \"{key}\" value {v}");
     let mut entries = Vec::new();
     let mut name: Option<String> = None;
     let mut threads = 1u64;
     for line in body.lines() {
-        let t = line.trim_start();
-        if let Some(rest) = t.strip_prefix("\"name\":") {
-            let v = rest.trim().trim_end_matches(',');
-            name = v
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .map(str::to_string);
-        } else if let Some(rest) = t.strip_prefix("\"threads\":") {
-            threads = rest.trim().trim_end_matches(',').parse().unwrap_or(1);
-        } else if let Some(rest) = t.strip_prefix("\"wall_s\":") {
-            if let (Some(n), Ok(w)) = (
-                name.take(),
-                rest.trim().trim_end_matches(',').parse::<f64>(),
-            ) {
-                entries.push((n, threads, w));
+        let Some((key, v)) = line
+            .trim()
+            .strip_prefix('"')
+            .and_then(|t| t.split_once("\":"))
+        else {
+            continue;
+        };
+        let v = v.trim().trim_end_matches(',');
+        match key {
+            "name" => {
+                let n = v.strip_prefix('"').and_then(|s| s.strip_suffix('"'));
+                name = Some(n.ok_or_else(|| bad(key, v))?.to_string());
+                threads = 1;
             }
+            "threads" => threads = v.parse().map_err(|_| bad(key, v))?,
+            "wall_s" => {
+                let wall = v.parse::<f64>().map_err(|_| bad(key, v))?;
+                let n = name
+                    .take()
+                    .ok_or_else(|| format!("{path}: \"wall_s\" {v} has no \"name\""))?;
+                entries.push((n, threads, wall));
+            }
+            _ => {}
         }
     }
-    entries
+    Ok(entries)
 }
 
 /// Every `bench_*.json` under `dir`, sorted by file name so the gate
@@ -322,7 +332,10 @@ fn gate(args: &[String]) -> i32 {
     let (Some(baseline_path), false) = (baseline_path, reports.is_empty()) else {
         usage();
     };
-    let entries = baseline_entries(&read(&baseline_path));
+    let entries = baseline_entries(&read(&baseline_path), &baseline_path).unwrap_or_else(|e| {
+        eprintln!("perfgate: {e}");
+        std::process::exit(2);
+    });
     let mut failed = false;
     for p in &reports {
         let body = read(p);
@@ -467,4 +480,64 @@ fn main() {
         _ => usage(),
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::baseline_entries;
+
+    #[test]
+    fn an_entry_without_threads_is_a_one_thread_entry() {
+        let body = r#"{
+  "entries": [
+    {
+      "name": "fig1",
+      "threads": 4,
+      "wall_s": 1.0
+    },
+    {
+      "name": "fig2",
+      "wall_s": 2.5
+    }
+  ]
+}"#;
+        let got = baseline_entries(body, "b.json").unwrap();
+        assert_eq!(
+            got,
+            [("fig1".to_string(), 4, 1.0), ("fig2".to_string(), 1, 2.5)]
+        );
+    }
+
+    #[test]
+    fn an_unparsable_value_names_the_file_and_key() {
+        let body = "\"name\": \"fig1\",\n\"threads\": 1,\n\"wall_s\": fast\n";
+        let err = baseline_entries(body, "b.json").unwrap_err();
+        assert!(
+            err.contains("b.json") && err.contains("\"wall_s\""),
+            "{err}"
+        );
+        let body = "\"name\": \"fig1\",\n\"threads\": four,\n\"wall_s\": 1.0\n";
+        let err = baseline_entries(body, "b.json").unwrap_err();
+        assert!(
+            err.contains("b.json") && err.contains("\"threads\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_committed_baseline_has_seven_benches_at_one_and_four_threads() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let entries = baseline_entries(&std::fs::read_to_string(path).unwrap(), path).unwrap();
+        assert_eq!(entries.len(), 14);
+        for threads in [1, 4] {
+            let mut names: Vec<&str> = entries
+                .iter()
+                .filter(|(_, t, _)| *t == threads)
+                .map(|(n, _, _)| n.as_str())
+                .collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), 7, "threads = {threads}: {names:?}");
+        }
+    }
 }

@@ -9,7 +9,7 @@ use crate::output::Json;
 use aps_collectives::{allreduce, alltoall, Collective, CollectiveError};
 use aps_core::objective::ReconfigAccounting;
 use aps_core::sweep::{run_sweep_on, SweepGrid, SweepResult};
-use aps_core::CoreError;
+use aps_core::{CoreError, PolicyComparison};
 use aps_cost::CostParams;
 use aps_flow::solver::ThroughputSolver;
 use aps_par::Pool;
@@ -252,26 +252,15 @@ pub fn grid_json(grid: &SweepGrid) -> Json {
     ])
 }
 
-/// Per-policy completion times a sweep cell contributes to a report, in
-/// [`CELL_POLICIES`] order. These are the names of the controllers behind
-/// each cell column ([`aps_core::policies::Policy::controller`]):
-/// `Static`, `AlwaysReconfigure`, `DpPlanned`, `Threshold`.
-pub const CELL_POLICIES: [&str; 4] = ["static", "bvn", "opt", "threshold"];
-
 /// One panel's sweep as a JSON object: the workload, α, and the row-major
 /// `cells_s[msg][α_r]` grid of `[static, bvn, opt, threshold]` completion
-/// times.
+/// times. `policies` names the controllers behind those columns
+/// ([`PolicyComparison::CONTROLLERS`]).
 pub fn panel_json(spec: &PanelSpec, result: &SweepResult) -> Json {
     let cells = result
         .cells
         .iter()
-        .map(|row| {
-            Json::Arr(
-                row.iter()
-                    .map(|c| Json::nums([c.t_static_s, c.t_bvn_s, c.t_opt_s, c.t_threshold_s]))
-                    .collect(),
-            )
-        })
+        .map(|row| Json::Arr(row.iter().map(|c| Json::nums(c.times_s())).collect()))
         .collect();
     Json::obj([
         ("panel", Json::Str(spec.panel.letter().to_string())),
@@ -281,9 +270,9 @@ pub fn panel_json(spec: &PanelSpec, result: &SweepResult) -> Json {
         (
             "policies",
             Json::Arr(
-                CELL_POLICIES
+                PolicyComparison::CONTROLLERS
                     .iter()
-                    .map(|p| Json::Str((*p).to_string()))
+                    .map(|c| Json::Str(c.name().to_string()))
                     .collect(),
             ),
         ),
@@ -303,7 +292,6 @@ pub fn theta_stats_json(stats: &aps_flow::CacheStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aps_core::sweep::SweepCell;
 
     #[test]
     fn panel_parsing_roundtrips() {
@@ -331,7 +319,7 @@ mod tests {
         let grid = SweepGrid::small();
         let r = run_panel(&spec, 16, &grid).unwrap();
         // Speedups vs BvN grow toward high α_r / small messages.
-        let m = r.map(SweepCell::speedup_vs_bvn);
+        let m = r.map(PolicyComparison::speedup_vs_bvn);
         assert!(m[0][2] > m[2][0]);
         assert!(m[0][2] > 5.0);
         // And everything is ≥ 1: OPT dominates.

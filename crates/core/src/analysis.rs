@@ -5,7 +5,8 @@
 //! §3.4: static-optimal, BvN-optimal, and the transitional band where only
 //! a mixed schedule wins.
 
-use crate::sweep::{SweepCell, SweepGrid, SweepResult};
+use crate::domain::PolicyComparison;
+use crate::sweep::{SweepGrid, SweepResult};
 use aps_cost::units::{format_bytes, format_time};
 
 /// Which §3.4 regime a grid cell falls in.
@@ -33,10 +34,10 @@ impl Regime {
 
 /// Classifies a cell: a baseline counts as "essentially optimal" when it is
 /// within `tol` (relative) of the optimized schedule.
-pub fn classify(cell: &SweepCell, tol: f64) -> Regime {
-    let opt = cell.t_opt_s;
-    let static_ok = cell.t_static_s <= opt * (1.0 + tol);
-    let bvn_ok = cell.t_bvn_s <= opt * (1.0 + tol);
+pub fn classify(cell: &PolicyComparison, tol: f64) -> Regime {
+    let opt = cell.opt_s;
+    let static_ok = cell.static_s <= opt * (1.0 + tol);
+    let bvn_ok = cell.bvn_s <= opt * (1.0 + tol);
     match (static_ok, bvn_ok) {
         (true, _) => Regime::StaticOptimal,
         (false, true) => Regime::BvnOptimal,
@@ -107,12 +108,12 @@ pub fn to_csv(grid: &SweepGrid, values: &[Vec<f64>]) -> String {
 mod tests {
     use super::*;
 
-    fn cell(st: f64, bvn: f64, opt: f64) -> SweepCell {
-        SweepCell {
-            t_static_s: st,
-            t_bvn_s: bvn,
-            t_opt_s: opt,
-            t_threshold_s: opt,
+    fn cell(st: f64, bvn: f64, opt: f64) -> PolicyComparison {
+        PolicyComparison {
+            static_s: st,
+            bvn_s: bvn,
+            opt_s: opt,
+            threshold_s: opt,
         }
     }
 

@@ -5,10 +5,10 @@
 //! *bend to the collective* (reconfigure, pay `α_r`) or stay put?
 //!
 //! Everything that chooses circuit configurations in this workspace is a
-//! controller. The closed [`crate::policies::Policy`] enum, the sweep
-//! engine, the simulator's adaptive runs and the multi-tenant scenario
-//! planner all route through this trait, so a new scheduling idea is one
-//! `impl Controller` away from every harness in the repo.
+//! controller. The policy comparison ([`crate::PolicyComparison`]), the
+//! sweep engine, the simulator's adaptive runs and the multi-tenant
+//! scenario planner all route through this trait, so a new scheduling idea
+//! is one `impl Controller` away from every harness in the repo.
 //!
 //! Five controllers ship with the crate:
 //!

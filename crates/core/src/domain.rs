@@ -6,10 +6,9 @@
 //! schedule and a policy comparison.
 
 use crate::assignment::SwitchSchedule;
-use crate::controller::{Controller, DpPlanned};
+use crate::controller::{AlwaysReconfigure, Controller, DpPlanned, Static, Threshold};
 use crate::error::CoreError;
 use crate::objective::{evaluate, CostReport, ReconfigAccounting};
-use crate::policies::{evaluate_policy, Policy};
 use crate::problem::{config_of_topology, SwitchingProblem};
 use aps_collectives::Schedule;
 use aps_cost::steptable::step_cost_table;
@@ -17,26 +16,59 @@ use aps_cost::{CostParams, ReconfigModel};
 use aps_flow::solver::{ThetaCache, ThroughputSolver};
 use aps_topology::Topology;
 
-/// Completion times of all policies on one collective.
+/// Completion times of the §3.4 comparison on one collective (or one
+/// sweep cell): the two baselines, the eq. (7) optimum and the §4
+/// threshold heuristic. Fields follow [`PolicyComparison::CONTROLLERS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyComparison {
-    /// Never reconfigure.
+    /// Never reconfigure ([`Static`]).
     pub static_s: f64,
-    /// Reconfigure every step.
+    /// Reconfigure every step ([`AlwaysReconfigure`]).
     pub bvn_s: f64,
-    /// Optimized (DP) schedule.
+    /// Optimized schedule ([`DpPlanned`]).
     pub opt_s: f64,
-    /// Threshold heuristic.
+    /// Threshold heuristic ([`Threshold`]).
     pub threshold_s: f64,
 }
 
 impl PolicyComparison {
-    /// `t_static / t_opt`.
+    /// The controllers behind the columns, in field order.
+    pub const CONTROLLERS: [&'static dyn Controller; 4] =
+        [&Static, &AlwaysReconfigure, &DpPlanned, &Threshold];
+
+    /// Plans and prices every column's controller on `problem`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller planning errors.
+    pub fn price(
+        problem: &SwitchingProblem,
+        accounting: ReconfigAccounting,
+    ) -> Result<Self, CoreError> {
+        let mut t = [0.0; 4];
+        for (t, c) in t.iter_mut().zip(Self::CONTROLLERS) {
+            *t = evaluate(problem, &c.plan(problem, accounting)?, accounting)?.total_s();
+        }
+        let [static_s, bvn_s, opt_s, threshold_s] = t;
+        Ok(Self {
+            static_s,
+            bvn_s,
+            opt_s,
+            threshold_s,
+        })
+    }
+
+    /// The completion times in [`PolicyComparison::CONTROLLERS`] order.
+    pub fn times_s(&self) -> [f64; 4] {
+        [self.static_s, self.bvn_s, self.opt_s, self.threshold_s]
+    }
+
+    /// `t_static / t_opt` — Figure 1 bottom row.
     pub fn speedup_vs_static(&self) -> f64 {
         self.static_s / self.opt_s
     }
 
-    /// `t_bvn / t_opt`.
+    /// `t_bvn / t_opt` — Figure 1 top row.
     pub fn speedup_vs_bvn(&self) -> f64 {
         self.bvn_s / self.opt_s
     }
@@ -44,6 +76,11 @@ impl PolicyComparison {
     /// `min(static, bvn) / t_opt` — the Figure 2 metric.
     pub fn speedup_vs_best_of_both(&self) -> f64 {
         self.static_s.min(self.bvn_s) / self.opt_s
+    }
+
+    /// `t_threshold / t_opt` — the A1 ablation's optimality gap.
+    pub fn threshold_gap(&self) -> f64 {
+        self.threshold_s / self.opt_s
     }
 }
 
@@ -205,19 +242,14 @@ impl ScaleupDomain {
         self.plan_with(schedule, controller).map(|(_, r)| r)
     }
 
-    /// Prices all four policies on a collective.
+    /// Prices all four policies on a collective
+    /// ([`PolicyComparison::price`]).
     ///
     /// # Errors
     ///
     /// Propagates problem-construction errors.
     pub fn compare(&mut self, schedule: &Schedule) -> Result<PolicyComparison, CoreError> {
-        let p = self.problem(schedule)?;
-        Ok(PolicyComparison {
-            static_s: evaluate_policy(&p, Policy::StaticBase, self.accounting)?.total_s(),
-            bvn_s: evaluate_policy(&p, Policy::AlwaysMatched, self.accounting)?.total_s(),
-            opt_s: evaluate_policy(&p, Policy::Optimal, self.accounting)?.total_s(),
-            threshold_s: evaluate_policy(&p, Policy::Threshold, self.accounting)?.total_s(),
-        })
+        PolicyComparison::price(&self.problem(schedule)?, self.accounting)
     }
 }
 
@@ -227,6 +259,11 @@ mod tests {
     use aps_collectives::allreduce;
     use aps_cost::units::MIB;
     use aps_topology::builders;
+
+    fn swing_problem(n: usize, m: f64, alpha_r: f64) -> SwitchingProblem {
+        let c = allreduce::swing::build(n, m).unwrap();
+        domain(n, alpha_r).problem(&c.schedule).unwrap()
+    }
 
     fn domain(n: usize, alpha_r: f64) -> ScaleupDomain {
         ScaleupDomain::new(
@@ -294,6 +331,58 @@ mod tests {
                 ctl.name()
             );
         }
+    }
+
+    #[test]
+    fn columns_are_the_named_controllers_in_figure_order() {
+        // The `"policies"` array of the fig1/fig2 JSON reports.
+        assert_eq!(
+            PolicyComparison::CONTROLLERS.map(|c| c.name()),
+            ["static", "bvn", "opt", "threshold"]
+        );
+        let p = swing_problem(16, 1e6, 1e-6);
+        let acc = ReconfigAccounting::default();
+        let cmp = PolicyComparison::price(&p, acc).unwrap();
+        let want = PolicyComparison::CONTROLLERS.map(|c| {
+            evaluate(&p, &c.plan(&p, acc).unwrap(), acc)
+                .unwrap()
+                .total_s()
+        });
+        assert_eq!(cmp.times_s(), want);
+    }
+
+    #[test]
+    fn opt_dominates_every_column_on_the_swing_ring() {
+        for m in [1e3, 1e6, 1e8] {
+            for alpha_r in [1e-8, 1e-6, 1e-3] {
+                let cmp =
+                    PolicyComparison::price(&swing_problem(16, m, alpha_r), Default::default())
+                        .unwrap();
+                for (c, t) in PolicyComparison::CONTROLLERS.iter().zip(cmp.times_s()) {
+                    assert!(
+                        cmp.opt_s <= t + 1e-15,
+                        "m={m} αr={alpha_r}: opt {} beaten by {} ({t})",
+                        cmp.opt_s,
+                        c.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_agrees_with_optimal_in_extreme_regimes() {
+        let acc = ReconfigAccounting::default();
+        // Tiny messages + huge delay: both stay static.
+        let p = swing_problem(16, 100.0, 1e-3);
+        let th = Threshold.plan(&p, acc).unwrap();
+        assert_eq!(th, SwitchSchedule::all_base(p.num_steps()));
+        assert_eq!(DpPlanned.plan(&p, acc).unwrap(), th);
+        // Huge messages + free-ish delay: both fully reconfigure.
+        let p = swing_problem(16, 1e9, 1e-9);
+        let th = Threshold.plan(&p, acc).unwrap();
+        assert_eq!(th, SwitchSchedule::all_matched(p.num_steps()));
+        assert_eq!(DpPlanned.plan(&p, acc).unwrap(), th);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod explain;
 pub mod multibase;
 pub mod multiport;
 pub mod objective;
-pub mod policies;
 pub mod problem;
 pub mod sweep;
 

@@ -1,9 +1,9 @@
 //! Parameter sweeps over `α_r × message size` — the grid behind every
 //! heatmap in the paper's Figure 1 and Figure 2.
 
+use crate::domain::PolicyComparison;
 use crate::error::CoreError;
 use crate::objective::ReconfigAccounting;
-use crate::policies::{evaluate_policy, Policy};
 use crate::problem::SwitchingProblem;
 use aps_collectives::{Collective, CollectiveError};
 use aps_cost::steptable::step_cost_table;
@@ -56,41 +56,6 @@ impl SweepGrid {
     }
 }
 
-/// Completion times of the four policies at one grid cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepCell {
-    /// Static base topology (never reconfigure).
-    pub t_static_s: f64,
-    /// Per-step BvN reconfiguration.
-    pub t_bvn_s: f64,
-    /// Optimized schedule (DP).
-    pub t_opt_s: f64,
-    /// Threshold heuristic.
-    pub t_threshold_s: f64,
-}
-
-impl SweepCell {
-    /// `t_static / t_opt` — Figure 1 bottom row.
-    pub fn speedup_vs_static(&self) -> f64 {
-        self.t_static_s / self.t_opt_s
-    }
-
-    /// `t_bvn / t_opt` — Figure 1 top row.
-    pub fn speedup_vs_bvn(&self) -> f64 {
-        self.t_bvn_s / self.t_opt_s
-    }
-
-    /// `min(t_static, t_bvn) / t_opt` — Figure 2.
-    pub fn speedup_vs_best_of_both(&self) -> f64 {
-        self.t_static_s.min(self.t_bvn_s) / self.t_opt_s
-    }
-
-    /// `t_threshold / t_opt` — the A1 ablation's optimality gap.
-    pub fn threshold_gap(&self) -> f64 {
-        self.t_threshold_s / self.t_opt_s
-    }
-}
-
 /// A completed sweep: `cells[row][col]` follows `grid.message_bytes[row]` ×
 /// `grid.reconf_delays_s[col]`.
 #[derive(Debug, Clone)]
@@ -98,14 +63,14 @@ pub struct SweepResult {
     /// The axes.
     pub grid: SweepGrid,
     /// Row-major policy timings.
-    pub cells: Vec<Vec<SweepCell>>,
+    pub cells: Vec<Vec<PolicyComparison>>,
     /// θ-cache counters, merged across the pool's per-worker caches.
     pub theta_stats: CacheStats,
 }
 
 impl SweepResult {
     /// Extracts a per-cell scalar (e.g. a speedup) as a row-major matrix.
-    pub fn map(&self, f: impl Fn(&SweepCell) -> f64) -> Vec<Vec<f64>> {
+    pub fn map(&self, f: impl Fn(&PolicyComparison) -> f64) -> Vec<Vec<f64>> {
         self.cells
             .iter()
             .map(|row| row.iter().map(&f).collect())
@@ -161,7 +126,7 @@ pub fn run_sweep_on(
     // Phase 2: evaluate rows; every θ lookup hits the warmed cache.
     let sweep_row = |cache: &mut ThetaCache,
                      collective: &Collective|
-     -> Result<Vec<SweepCell>, CoreError> {
+     -> Result<Vec<PolicyComparison>, CoreError> {
         let table = step_cost_table(base, &collective.schedule, cache)?;
         let mut row = Vec::with_capacity(grid.reconf_delays_s.len());
         for &alpha_r in &grid.reconf_delays_s {
@@ -172,12 +137,7 @@ pub fn run_sweep_on(
                 base_config: crate::problem::config_of_topology(base),
                 steps: table.clone(),
             };
-            row.push(SweepCell {
-                t_static_s: evaluate_policy(&problem, Policy::StaticBase, accounting)?.total_s(),
-                t_bvn_s: evaluate_policy(&problem, Policy::AlwaysMatched, accounting)?.total_s(),
-                t_opt_s: evaluate_policy(&problem, Policy::Optimal, accounting)?.total_s(),
-                t_threshold_s: evaluate_policy(&problem, Policy::Threshold, accounting)?.total_s(),
-            });
+            row.push(PolicyComparison::price(&problem, accounting)?);
         }
         Ok(row)
     };
@@ -324,7 +284,7 @@ mod tests {
     #[test]
     fn map_extracts_matrices() {
         let r = sweep_hd(8);
-        let m = r.map(SweepCell::speedup_vs_static);
+        let m = r.map(PolicyComparison::speedup_vs_static);
         assert_eq!(m.len(), 3);
         assert_eq!(m[0].len(), 3);
     }

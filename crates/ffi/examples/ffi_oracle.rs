@@ -225,10 +225,10 @@ fn main() {
                 println!(
                     "sweep.cell index={index} static={:016x} bvn={:016x} opt={:016x} \
                      threshold={:016x}",
-                    cell.t_static_s.to_bits(),
-                    cell.t_bvn_s.to_bits(),
-                    cell.t_opt_s.to_bits(),
-                    cell.t_threshold_s.to_bits()
+                    cell.static_s.to_bits(),
+                    cell.bvn_s.to_bits(),
+                    cell.opt_s.to_bits(),
+                    cell.threshold_s.to_bits()
                 );
                 index += 1;
             }

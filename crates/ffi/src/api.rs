@@ -1146,10 +1146,10 @@ pub extern "C" fn aps_experiment_sweep(
         for (r, row) in result.cells.iter().enumerate() {
             for (c, cell) in row.iter().enumerate() {
                 out[r * n_bytes + c] = ApsSweepCell {
-                    t_static_s: cell.t_static_s,
-                    t_bvn_s: cell.t_bvn_s,
-                    t_opt_s: cell.t_opt_s,
-                    t_threshold_s: cell.t_threshold_s,
+                    t_static_s: cell.static_s,
+                    t_bvn_s: cell.bvn_s,
+                    t_opt_s: cell.opt_s,
+                    t_threshold_s: cell.threshold_s,
                 };
             }
         }

@@ -303,10 +303,10 @@ fn sweep_matches_native_grid() {
     for (r, row) in native.cells.iter().enumerate() {
         for (c, cell) in row.iter().enumerate() {
             let got = &cells[r * sizes.len() + c];
-            assert_eq!(got.t_static_s.to_bits(), cell.t_static_s.to_bits());
-            assert_eq!(got.t_bvn_s.to_bits(), cell.t_bvn_s.to_bits());
-            assert_eq!(got.t_opt_s.to_bits(), cell.t_opt_s.to_bits());
-            assert_eq!(got.t_threshold_s.to_bits(), cell.t_threshold_s.to_bits());
+            assert_eq!(got.t_static_s.to_bits(), cell.static_s.to_bits());
+            assert_eq!(got.t_bvn_s.to_bits(), cell.bvn_s.to_bits());
+            assert_eq!(got.t_opt_s.to_bits(), cell.opt_s.to_bits());
+            assert_eq!(got.t_threshold_s.to_bits(), cell.threshold_s.to_bits());
         }
     }
 

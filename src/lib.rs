@@ -270,7 +270,7 @@ pub mod prelude {
     pub use aps_core::controller::{
         AlwaysReconfigure, Controller, DpPlanned, Greedy, Static, StepObservation, Threshold,
     };
-    pub use aps_core::sweep::{SweepCell, SweepGrid, SweepResult};
+    pub use aps_core::sweep::{SweepGrid, SweepResult};
     pub use aps_core::{
         ConfigChoice, CostReport, PolicyComparison, ReconfigAccounting, ScaleupDomain,
         SwitchSchedule, SwitchingProblem,

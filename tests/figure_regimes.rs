@@ -4,7 +4,8 @@
 
 use aps_bench::figures::{panel, run_panel, Panel};
 use aps_core::analysis::{classify, Regime};
-use aps_core::sweep::{SweepCell, SweepGrid};
+use aps_core::sweep::SweepGrid;
+use aps_core::PolicyComparison;
 
 fn grid() -> SweepGrid {
     SweepGrid::paper_default()
@@ -16,7 +17,7 @@ fn fig1_top_row_speedup_grows_with_delay_and_shrinks_with_size() {
     // reconfiguration delay is high or message sizes are small".
     for p in [Panel::A, Panel::C, Panel::D] {
         let r = run_panel(&panel(p), 32, &grid()).unwrap();
-        let v = r.map(SweepCell::speedup_vs_bvn);
+        let v = r.map(PolicyComparison::speedup_vs_bvn);
         let (rows, cols) = (v.len(), v[0].len());
         // Monotone (weakly) along columns: higher α_r → larger speedup.
         for row in &v {
@@ -41,7 +42,7 @@ fn fig1_bottom_row_speedup_grows_with_size_and_shrinks_with_delay() {
     // delay is low and message sizes are large".
     for p in [Panel::E, Panel::G, Panel::H] {
         let r = run_panel(&panel(p), 32, &grid()).unwrap();
-        let v = r.map(SweepCell::speedup_vs_static);
+        let v = r.map(PolicyComparison::speedup_vs_static);
         let (rows, cols) = (v.len(), v[0].len());
         // Monotone (weakly) down columns: larger messages → larger speedup.
         for (row, (below, above)) in v.windows(2).map(|w| (&w[0], &w[1])).enumerate() {
@@ -65,8 +66,8 @@ fn fig1b_higher_alpha_dampens_small_message_gains() {
     // messages, so the OPT-vs-BvN gains shrink relative to α = 100 ns.
     let a = run_panel(&panel(Panel::A), 32, &grid()).unwrap();
     let b = run_panel(&panel(Panel::B), 32, &grid()).unwrap();
-    let va = a.map(SweepCell::speedup_vs_bvn);
-    let vb = b.map(SweepCell::speedup_vs_bvn);
+    let va = a.map(PolicyComparison::speedup_vs_bvn);
+    let vb = b.map(PolicyComparison::speedup_vs_bvn);
     // Small-message, high-delay corner.
     assert!(vb[0][5] < va[0][5]);
 }

@@ -8,14 +8,13 @@
 //! earlier, so the model is a certified upper bound.
 
 use adaptive_photonics::prelude::*;
-use aps_core::policies::{schedule_for, Policy};
 use aps_cost::units::MIB;
 use aps_flow::solver::ThetaCache;
 
 fn model_and_sim(
     n: usize,
     coll: &Collective,
-    policy: Policy,
+    policy: &dyn Controller,
     alpha_r: f64,
 ) -> (f64, f64, SwitchSchedule) {
     let base = topology::builders::ring_unidirectional(n).unwrap();
@@ -30,7 +29,7 @@ fn model_and_sim(
     .unwrap();
     // The simulator is physical: compare under PhysicalDiff accounting.
     let acc = ReconfigAccounting::PhysicalDiff;
-    let switches = schedule_for(&problem, policy, acc).unwrap();
+    let switches = policy.plan(&problem, acc).unwrap();
     let model = aps_core::evaluate(&problem, &switches, acc)
         .unwrap()
         .total_s();
@@ -58,14 +57,14 @@ fn uniform_collectives_match_exactly() {
         collectives::allreduce::ring::build(n, MIB).unwrap(),
         collectives::alltoall::linear_shift(n, MIB).unwrap(),
     ] {
-        for policy in [Policy::StaticBase, Policy::AlwaysMatched, Policy::Optimal] {
+        for policy in [&Static as &dyn Controller, &AlwaysReconfigure, &DpPlanned] {
             let (model, sim, sched) = model_and_sim(n, &coll, policy, 5e-6);
             let rel = (sim - model).abs() / model;
             assert!(
                 rel < 1e-6,
-                "{} under {:?} ({}): model {model}, sim {sim}",
+                "{} under {} ({}): model {model}, sim {sim}",
                 coll.schedule.algorithm(),
-                policy,
+                policy.name(),
                 sched.compact()
             );
         }
@@ -84,21 +83,21 @@ fn simulator_never_exceeds_the_model() {
         collectives::alltoall::xor_exchange(n, MIB).unwrap(),
         collectives::alltoall::bruck(n, MIB).unwrap(),
     ] {
-        for policy in [Policy::StaticBase, Policy::AlwaysMatched, Policy::Optimal] {
+        for policy in [&Static as &dyn Controller, &AlwaysReconfigure, &DpPlanned] {
             let (model, sim, sched) = model_and_sim(n, &coll, policy, 5e-6);
             assert!(
                 sim <= model * (1.0 + 1e-9),
-                "{} under {:?} ({}): sim {sim} exceeds model {model}",
+                "{} under {} ({}): sim {sim} exceeds model {model}",
                 coll.schedule.algorithm(),
-                policy,
+                policy.name(),
                 sched.compact()
             );
             // And the model is not wildly loose: within 2x here.
             assert!(
                 sim >= model * 0.5,
-                "{} under {:?}: sim {sim} unexpectedly far below model {model}",
+                "{} under {}: sim {sim} unexpectedly far below model {model}",
                 coll.schedule.algorithm(),
-                policy
+                policy.name()
             );
         }
     }
@@ -115,7 +114,7 @@ fn matched_execution_is_exact_for_every_collective() {
         collectives::allreduce::swing::build(n, 4.0 * MIB).unwrap(),
         collectives::broadcast::binomial(n, 3, 4.0 * MIB).unwrap(),
     ] {
-        let (model, sim, _) = model_and_sim(n, &coll, Policy::AlwaysMatched, 2e-6);
+        let (model, sim, _) = model_and_sim(n, &coll, &AlwaysReconfigure, 2e-6);
         let rel = (sim - model).abs() / model;
         assert!(
             rel < 1e-6,

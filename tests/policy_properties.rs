@@ -4,7 +4,6 @@
 
 use adaptive_photonics::prelude::*;
 use aps_core::brute::optimize_exhaustive;
-use aps_core::policies::{evaluate_policy, Policy};
 use aps_core::{dp, evaluate};
 use aps_cost::steptable::StepCosts;
 use proptest::prelude::*;
@@ -56,10 +55,11 @@ proptest! {
     #[test]
     fn optimal_dominates_all_policies(problem in arb_problem()) {
         let acc = ReconfigAccounting::PaperConservative;
-        let opt = evaluate_policy(&problem, Policy::Optimal, acc).unwrap().total_s();
-        for policy in Policy::ALL {
-            let t = evaluate_policy(&problem, policy, acc).unwrap().total_s();
-            prop_assert!(opt <= t + 1e-15, "opt {opt} beaten by {} at {t}", policy.name());
+        let price = |c: &dyn Controller| evaluate(&problem, &c.plan(&problem, acc)?, acc);
+        let opt = price(&DpPlanned).unwrap().total_s();
+        for c in aps_core::controller::shipped() {
+            let t = price(c).unwrap().total_s();
+            prop_assert!(opt <= t + 1e-15, "opt {opt} beaten by {} at {t}", c.name());
         }
     }
 
@@ -133,11 +133,8 @@ fn threshold_heuristic_gap_is_bounded_on_real_collectives() {
             )
             .unwrap();
             let acc = ReconfigAccounting::PaperConservative;
-            let opt = evaluate_policy(&p, Policy::Optimal, acc).unwrap().total_s();
-            let th = evaluate_policy(&p, Policy::Threshold, acc)
-                .unwrap()
-                .total_s();
-            worst = worst.max(th / opt);
+            let cmp = PolicyComparison::price(&p, acc).unwrap();
+            worst = worst.max(cmp.threshold_gap());
         }
     }
     assert!(worst < 1.5, "threshold heuristic gap grew to {worst}x");
