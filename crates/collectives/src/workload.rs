@@ -75,28 +75,23 @@ pub trait Workload: Send {
         CollectiveKind::Composite
     }
 
-    /// Pulls the next step; `None` means the stream is exhausted.
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step>;
-
     /// Pulls the next step *into* a caller-owned buffer; `false` means the
     /// stream is exhausted (and `out` is left untouched).
     ///
-    /// The zero-allocation streaming hook: executors keep one long-lived
-    /// [`Step`] and recycle its matching buffer across pulls. The default
-    /// delegates to [`Workload::next_step`] and moves the result into
-    /// `out`; sources whose steps live in stable storage (e.g.
-    /// [`ScheduleStream`], `TrainingLoop`) override it with a
-    /// [`Clone::clone_from`] copy so a steady-state pull never allocates,
-    /// and the combinators forward it so the override is reached through
-    /// arbitrarily nested compositions.
-    fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
-        match self.next_step(ctx) {
-            Some(step) => {
-                *out = step;
-                true
-            }
-            None => false,
-        }
+    /// The one pull every source implements, and the zero-allocation
+    /// streaming hook: executors keep one long-lived [`Step`] and recycle
+    /// its matching buffer across pulls. Sources whose steps live in
+    /// stable storage (e.g. [`ScheduleStream`], `TrainingLoop`) fill it
+    /// with a [`Clone::clone_from`] copy so a steady-state pull never
+    /// allocates, and the combinators forward it so that copy is reached
+    /// through arbitrarily nested compositions.
+    fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool;
+
+    /// Pulls the next step as a fresh value; `None` means the stream is
+    /// exhausted. Returns the step [`Workload::next_step_into`] fills in.
+    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
+        let mut step = Step::empty();
+        self.next_step_into(ctx, &mut step).then_some(step)
     }
 
     /// Bounds on the number of steps *remaining*: `(lower, upper)`, with
@@ -187,9 +182,6 @@ impl Workload for Box<dyn Workload> {
     fn kind(&self) -> CollectiveKind {
         (**self).kind()
     }
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
-        (**self).next_step(ctx)
-    }
     fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         (**self).next_step_into(ctx, out)
     }
@@ -254,12 +246,6 @@ impl<S: Borrow<Schedule> + Send> Workload for ScheduleStream<S> {
 
     fn kind(&self) -> CollectiveKind {
         self.schedule().kind()
-    }
-
-    fn next_step(&mut self, _ctx: &WorkloadCtx) -> Option<Step> {
-        let step = self.schedule().steps().get(self.pos)?.clone();
-        self.pos += 1;
-        Some(step)
     }
 
     fn next_step_into(&mut self, _ctx: &WorkloadCtx, out: &mut Step) -> bool {
@@ -341,16 +327,6 @@ impl<A: Workload, B: Workload> Workload for Then<A, B> {
         &self.name
     }
 
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
-        if !self.in_second {
-            if let Some(step) = self.first.next_step(ctx) {
-                return Some(step);
-            }
-            self.in_second = true;
-        }
-        self.second.next_step(ctx)
-    }
-
     fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         if !self.in_second {
             if self.first.next_step_into(ctx, out) {
@@ -423,28 +399,6 @@ impl<W: Workload> Workload for Repeat<W> {
         &self.name
     }
 
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
-        loop {
-            if self.epochs.is_some_and(|k| self.done >= k) {
-                return None;
-            }
-            if let Some(step) = self.inner.next_step(ctx) {
-                self.yielded = true;
-                return Some(step);
-            }
-            // One epoch drained: rewind and account for it. An epoch
-            // that yielded nothing proves the inner workload is empty —
-            // every further epoch would be empty too, so stop rather
-            // than spin (size hints may be inexact).
-            self.done += 1;
-            if !self.yielded {
-                return None;
-            }
-            self.inner.reset();
-            self.yielded = false;
-        }
-    }
-
     fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         loop {
             if self.epochs.is_some_and(|k| self.done >= k) {
@@ -454,8 +408,10 @@ impl<W: Workload> Workload for Repeat<W> {
                 self.yielded = true;
                 return true;
             }
-            // Same epoch accounting as `next_step`: an epoch that yielded
-            // nothing proves the inner workload is empty, so stop.
+            // One epoch drained: rewind and account for it. An epoch
+            // that yielded nothing proves the inner workload is empty —
+            // every further epoch would be empty too, so stop rather
+            // than spin (size hints may be inexact).
             self.done += 1;
             if !self.yielded {
                 return false;
@@ -534,16 +490,6 @@ impl<A: Workload, B: Workload> Workload for Interleave<A, B> {
         &self.name
     }
 
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
-        let first_b = self.b_turn;
-        self.b_turn = !self.b_turn;
-        if first_b {
-            self.b.next_step(ctx).or_else(|| self.a.next_step(ctx))
-        } else {
-            self.a.next_step(ctx).or_else(|| self.b.next_step(ctx))
-        }
-    }
-
     fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         let first_b = self.b_turn;
         self.b_turn = !self.b_turn;
@@ -604,13 +550,6 @@ impl<W: Workload> Workload for Scaled<W> {
 
     fn kind(&self) -> CollectiveKind {
         self.inner.kind()
-    }
-
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
-        self.inner.next_step(ctx).map(|mut s| {
-            s.bytes_per_pair *= self.factor;
-            s
-        })
     }
 
     fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
@@ -758,11 +697,11 @@ impl Workload for Overlay {
         &self.name
     }
 
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
+    fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         while self.buffer.is_empty() && self.jobs.iter().any(|j| !j.done) {
             self.pull_round(ctx);
         }
-        self.buffer.pop_front()
+        self.buffer.pop_front().map(|step| *out = step).is_some()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -900,8 +839,8 @@ mod tests {
             fn name(&self) -> &str {
                 "empty"
             }
-            fn next_step(&mut self, _: &WorkloadCtx) -> Option<Step> {
-                None
+            fn next_step_into(&mut self, _: &WorkloadCtx, _: &mut Step) -> bool {
+                false
             }
             fn reset(&mut self) {}
         }

@@ -203,10 +203,6 @@ impl Workload for TrainingLoop {
         &self.name
     }
 
-    fn next_step(&mut self, _ctx: &WorkloadCtx) -> Option<Step> {
-        self.advance().cloned()
-    }
-
     fn next_step_into(&mut self, _ctx: &WorkloadCtx, out: &mut Step) -> bool {
         match self.advance() {
             Some(step) => {
@@ -328,11 +324,11 @@ impl Workload for ParameterServer {
         &self.name
     }
 
-    fn next_step(&mut self, _ctx: &WorkloadCtx) -> Option<Step> {
+    fn next_step_into(&mut self, _ctx: &WorkloadCtx, out: &mut Step) -> bool {
         if self.rounds.is_some_and(|k| self.round >= k) {
-            return None;
+            return false;
         }
-        let step = Step {
+        *out = Step {
             matching: self.wave_matching(self.wave),
             bytes_per_pair: self.bytes,
         };
@@ -341,7 +337,7 @@ impl Workload for ParameterServer {
             self.wave = 0;
             self.round += 1;
         }
-        Some(step)
+        true
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -424,15 +420,16 @@ impl Workload for RandomPermutations {
         &self.name
     }
 
-    fn next_step(&mut self, _ctx: &WorkloadCtx) -> Option<Step> {
+    fn next_step_into(&mut self, _ctx: &WorkloadCtx, out: &mut Step) -> bool {
         if self.steps.is_some_and(|k| self.emitted >= k) {
-            return None;
+            return false;
         }
         self.emitted += 1;
-        Some(Step {
+        *out = Step {
             matching: random_derangement(self.n, &mut self.rng),
             bytes_per_pair: self.bytes,
-        })
+        };
+        true
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -539,9 +536,9 @@ impl Workload for OnOffBursty {
         &self.name
     }
 
-    fn next_step(&mut self, _ctx: &WorkloadCtx) -> Option<Step> {
+    fn next_step_into(&mut self, _ctx: &WorkloadCtx, out: &mut Step) -> bool {
         if self.steps.is_some_and(|k| self.emitted >= k) {
-            return None;
+            return false;
         }
         if self.left == 0 {
             let next_on = !self.on;
@@ -549,7 +546,7 @@ impl Workload for OnOffBursty {
         }
         self.left -= 1;
         self.emitted += 1;
-        Some(if self.on {
+        *out = if self.on {
             let k = self.rng.random_range(1..self.n);
             Step {
                 matching: Matching::shift(self.n, k).expect("0 < k < n"),
@@ -560,7 +557,8 @@ impl Workload for OnOffBursty {
                 matching: Matching::empty(self.n),
                 bytes_per_pair: 0.0,
             }
-        })
+        };
+        true
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

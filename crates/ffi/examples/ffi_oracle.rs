@@ -219,9 +219,11 @@ fn main() {
                 message_bytes: vec![MIB, 4.0 * MIB],
             })
             .expect("sweepable");
+        // The C layout puts delays outermost; native rows are sizes.
         let mut index = 0usize;
-        for row in &result.cells {
-            for cell in row {
+        for c in 0..result.grid.reconf_delays_s.len() {
+            for row in &result.cells {
+                let cell = &row[c];
                 println!(
                     "sweep.cell index={index} static={:016x} bvn={:016x} opt={:016x} \
                      threshold={:016x}",

@@ -51,7 +51,7 @@ pub const ABI_MAJOR: u32 = 1;
 /// Bumped on backward-compatible additions.
 pub const ABI_MINOR: u32 = 0;
 /// Bumped on fixes with no interface change.
-pub const ABI_PATCH: u32 = 0;
+pub const ABI_PATCH: u32 = 1;
 
 /// The library's ABI version, packed `major << 16 | minor << 8 | patch`.
 /// Callers reject a library whose major differs from their header's.
@@ -1142,10 +1142,12 @@ pub extern "C" fn aps_experiment_sweep(
             Ok(r) => r,
             Err(e) => return fail(ApsStatus::Core, &format!("sweep failed: {e}")),
         };
+        // `result.cells[r][c]` is message size `r` × delay `c`; the C
+        // layout puts delays outermost.
         let out = unsafe { std::slice::from_raw_parts_mut(cells, needed) };
         for (r, row) in result.cells.iter().enumerate() {
             for (c, cell) in row.iter().enumerate() {
-                out[r * n_bytes + c] = ApsSweepCell {
+                out[c * n_bytes + r] = ApsSweepCell {
                     t_static_s: cell.static_s,
                     t_bvn_s: cell.bvn_s,
                     t_opt_s: cell.opt_s,

@@ -262,20 +262,10 @@ fn hetero_scenario_with_storm_matches_native_and_replays() {
     assert_eq!(aps_experiment_destroy(exp), ApsStatus::Ok);
 }
 
-#[test]
-fn sweep_matches_native_grid() {
-    let controller = CString::new("opt").unwrap();
-    let family = CString::new("alltoall").unwrap();
-    let cfg = domain_config(8, &controller, ApsFabricKind::Optical as i32, None);
-    let exp = new_experiment(&cfg);
-    assert_eq!(
-        aps_experiment_bind_collective(exp, family.as_ptr(), MIB),
-        ApsStatus::Ok
-    );
-
-    let delays = [1e-6, 10e-6];
-    let sizes = [MIB, 4.0 * MIB];
-    let mut cells = vec![ApsSweepCell::default(); 4];
+/// Runs the C sweep over `delays × sizes` and checks every cell against
+/// the native sweep at its documented slot: row-major, delays outermost.
+fn assert_sweep_matches_native(exp: u64, delays: &[f64], sizes: &[f64]) {
+    let mut cells = vec![ApsSweepCell::default(); delays.len() * sizes.len()];
     let mut written = 0usize;
     assert_eq!(
         aps_experiment_sweep(
@@ -291,7 +281,7 @@ fn sweep_matches_native_grid() {
         ),
         ApsStatus::Ok
     );
-    assert_eq!(written, 4);
+    assert_eq!(written, cells.len());
 
     let native = native_experiment(8, "opt")
         .collective_family(|m| collective_by_name("alltoall", 8, m).unwrap())
@@ -300,15 +290,33 @@ fn sweep_matches_native_grid() {
             message_bytes: sizes.to_vec(),
         })
         .unwrap();
+    // Native rows are message sizes, columns delays.
     for (r, row) in native.cells.iter().enumerate() {
         for (c, cell) in row.iter().enumerate() {
-            let got = &cells[r * sizes.len() + c];
+            let got = &cells[c * sizes.len() + r];
             assert_eq!(got.t_static_s.to_bits(), cell.static_s.to_bits());
             assert_eq!(got.t_bvn_s.to_bits(), cell.bvn_s.to_bits());
             assert_eq!(got.t_opt_s.to_bits(), cell.opt_s.to_bits());
             assert_eq!(got.t_threshold_s.to_bits(), cell.threshold_s.to_bits());
         }
     }
+}
+
+#[test]
+fn sweep_matches_native_grid() {
+    let controller = CString::new("opt").unwrap();
+    let family = CString::new("alltoall").unwrap();
+    let cfg = domain_config(8, &controller, ApsFabricKind::Optical as i32, None);
+    let exp = new_experiment(&cfg);
+    assert_eq!(
+        aps_experiment_bind_collective(exp, family.as_ptr(), MIB),
+        ApsStatus::Ok
+    );
+    let delays = [1e-6, 10e-6];
+    let sizes = [MIB, 4.0 * MIB];
+    assert_sweep_matches_native(exp, &delays, &sizes);
+    // 2 delays × 3 sizes: a sizes-outermost layout would misplace cells.
+    assert_sweep_matches_native(exp, &delays, &[MIB, 2.0 * MIB, 4.0 * MIB]);
 
     // Undersized buffer: typed error, needed count reported.
     let mut short = vec![ApsSweepCell::default(); 1];

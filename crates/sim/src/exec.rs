@@ -1,20 +1,27 @@
 //! Collective execution on a reconfigurable fabric.
 //!
-//! Two single-collective entrypoints share one step engine
-//! (the private `execute_step`):
+//! The private `execute_step` is the step engine: barrier → α →
+//! reconfiguration → routed max-min transfer → compute. A job running the
+//! fabric alone reaches it through one private per-step runner, `Solo`,
+//! which every single-job front door loops around:
 //!
 //! * [`run_scheduled`] executes a *precomputed* [`SwitchSchedule`] (e.g.
 //!   a controller's plan, or a hand-written decision vector);
-//! * [`run_adaptive`] consults a [`Controller`] step by step, so the
-//!   decision rationale lands in the trace as
+//! * [`run_adaptive`] consults a [`Controller`] step by step, observing
+//!   the whole problem, so the decision rationale lands in the trace as
 //!   [`TraceKind::Decision`] events — the simulator face of the paper's
-//!   adaptive vision.
+//!   adaptive vision;
+//! * the streaming executors in [`crate::stream`] do the same over
+//!   demand pulled lazily from a workload.
 //!
-//! Both are normally reached through `adaptive_photonics::Experiment`.
+//! Several jobs sharing a fabric reach the engine through the other
+//! loop, [`crate::service::ServiceExecutor::execute_next`]. The front
+//! doors are normally reached through `adaptive_photonics::Experiment`.
 
 use crate::arena::{StepScratch, UNUSED};
 use crate::error::SimError;
 use crate::fluid::simulate_flows_scratch;
+use crate::record::{RecordSink, StepRecord};
 use crate::report::{SimReport, StepReport};
 use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::Schedule;
@@ -102,6 +109,9 @@ pub(crate) struct StepInput<'a> {
 /// ([`crate::service::ServiceExecutor::next_request_at`]) orders jobs by
 /// exactly this instant, so it must stay the single source of truth for
 /// both the scheduler and the step.
+// Inlined into the scheduler's per-slot scan, which runs before every
+// multi-job step.
+#[inline]
 pub(crate) fn natural_request_at(
     cfg: &RunConfig,
     barrier_n: usize,
@@ -313,6 +323,133 @@ pub(crate) fn execute_step(
     Ok((comm_end, gpu_free))
 }
 
+/// The per-step runner of a job running a fabric alone — the one loop
+/// body behind [`run_adaptive`], [`crate::stream::run_scheduled_workload`]
+/// and the streaming adaptive executors, which differ only in where each
+/// step and its choice come from. It owns what those loops thread from
+/// step to step: the clocks, the previous choice, the reused pair buffer
+/// and step arena, and the base circuit configuration.
+pub(crate) struct Solo<'a, 's> {
+    fabric: &'a mut dyn Fabric,
+    cfg: &'a RunConfig,
+    /// The configuration base steps target.
+    base_config: &'a Matching,
+    /// Nodes synchronizing at every step's barrier.
+    n: usize,
+    sink: Option<&'s mut dyn RecordSink>,
+    /// The previous step's choice (`Base` before the first step, `x₀ = 1`).
+    pub(crate) prev: ConfigChoice,
+    /// When the previous step's flows drained.
+    pub(crate) comm_end: Picos,
+    /// When the GPUs last freed.
+    pub(crate) gpu_free: Picos,
+    /// Pair buffer, refilled per step (zero-alloc hot path).
+    pairs: Vec<(usize, usize)>,
+    scratch: StepScratch,
+}
+
+impl<'a, 's> Solo<'a, 's> {
+    /// A runner for an `n`-port job; fails unless the fabric spans
+    /// exactly those ports.
+    pub(crate) fn new(
+        fabric: &'a mut dyn Fabric,
+        cfg: &'a RunConfig,
+        base_config: &'a Matching,
+        n: usize,
+        sink: Option<&'s mut dyn RecordSink>,
+    ) -> Result<Self, SimError> {
+        if fabric.n() != n {
+            return Err(SimError::DimensionMismatch {
+                fabric: fabric.n(),
+                collective: n,
+            });
+        }
+        Ok(Self {
+            fabric,
+            cfg,
+            base_config,
+            n,
+            sink,
+            prev: ConfigChoice::Base,
+            comm_end: 0,
+            gpu_free: 0,
+            pairs: Vec::new(),
+            scratch: StepScratch::new(),
+        })
+    }
+
+    /// Runs step `i` — `matching` exchanging `bytes_per_pair` per pair —
+    /// under the decided `choice`, appending to `report` and handing the
+    /// committed step to the sink. A `why` stamps the decision into the
+    /// trace first; callers pass one only when someone reads the trace,
+    /// so the hot loops never format a rationale.
+    pub(crate) fn step<'r>(
+        &mut self,
+        i: usize,
+        matching: &Matching,
+        bytes_per_pair: f64,
+        choice: ConfigChoice,
+        why: Option<String>,
+        report: &'r mut SimReport,
+    ) -> Result<&'r StepReport, SimError> {
+        let matched = choice == ConfigChoice::Matched;
+        let trace_before = report.trace.len();
+        if let Some(why) = why {
+            // Stamp the decision no later than the step's natural fabric
+            // request: under reconfigure/compute overlap that request
+            // fires when the previous step's flows drain (before the GPUs
+            // are free), and the decision must precede its own
+            // ReconfigStart.
+            let at = natural_request_at(self.cfg, self.n, i == 0, self.comm_end, self.gpu_free)
+                .min(self.gpu_free);
+            report.trace.push(TraceEvent {
+                at,
+                kind: TraceKind::Decision {
+                    step: i,
+                    matched,
+                    why,
+                },
+            });
+        }
+        self.pairs.clear();
+        self.pairs.extend(matching.pairs());
+        let input = StepInput {
+            step: i,
+            matched,
+            target: if matched { matching } else { self.base_config },
+            pairs: &self.pairs,
+            bytes_per_pair,
+            barrier_n: self.n,
+            first: i == 0,
+        };
+        let step_idx = report.steps.len();
+        (self.comm_end, self.gpu_free) = execute_step(
+            &mut *self.fabric,
+            &input,
+            self.cfg,
+            false,
+            self.comm_end,
+            self.gpu_free,
+            report,
+            &mut self.scratch,
+        )?;
+        self.prev = choice;
+        let done = &report.steps[step_idx];
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.record_step(&StepRecord {
+                step: i,
+                tenant: None,
+                matched,
+                report: done,
+                events: &report.trace[trace_before..],
+                config: self.fabric.current(),
+                busy_until: self.fabric.busy_until(),
+            });
+        }
+        Ok(done)
+    }
+}
+
 /// Executes `schedule` under a precomputed `switch_schedule` against the
 /// fabric.
 ///
@@ -375,64 +512,26 @@ pub fn run_adaptive(
     accounting: ReconfigAccounting,
     cfg: &RunConfig,
 ) -> Result<(SwitchSchedule, SimReport), SimError> {
-    if fabric.n() != problem.n {
-        return Err(SimError::DimensionMismatch {
-            fabric: fabric.n(),
-            collective: problem.n,
-        });
-    }
-
+    let mut solo = Solo::new(fabric, cfg, base_config, problem.n, None)?;
     let mut report = SimReport::default();
-    let mut comm_end: Picos = 0;
-    let mut gpu_free: Picos = 0;
-    let mut prev = ConfigChoice::Base;
     let mut choices = Vec::with_capacity(problem.num_steps());
-    let mut scratch = StepScratch::new();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-
     for (i, step) in problem.steps.iter().enumerate() {
-        let obs = StepObservation::new(problem, accounting, i, prev);
+        // The whole problem is observed, so planning controllers keep
+        // their lookahead.
+        let obs = StepObservation::new(problem, accounting, i, solo.prev);
         let choice = controller.decide(&obs);
-        let matched = choice == ConfigChoice::Matched;
-        // Stamp the decision no later than the step's natural fabric
-        // request: under reconfigure/compute overlap that request fires
-        // when the previous step's flows drain (before the GPUs are
-        // free), and the decision must precede its own ReconfigStart.
-        let decided_at =
-            natural_request_at(cfg, problem.n, i == 0, comm_end, gpu_free).min(gpu_free);
-        report.trace.push(TraceEvent {
-            at: decided_at,
-            kind: TraceKind::Decision {
-                step: i,
-                matched,
-                why: controller.explain(&obs, choice),
-            },
-        });
-        pairs.clear();
-        pairs.extend(step.matching.pairs());
-        let input = StepInput {
-            step: i,
-            matched,
-            target: if matched { &step.matching } else { base_config },
-            pairs: &pairs,
-            bytes_per_pair: step.bytes,
-            barrier_n: problem.n,
-            first: i == 0,
-        };
-        (comm_end, gpu_free) = execute_step(
-            fabric,
-            &input,
-            cfg,
-            false,
-            comm_end,
-            gpu_free,
+        let why = controller.explain(&obs, choice);
+        solo.step(
+            i,
+            &step.matching,
+            step.bytes,
+            choice,
+            Some(why),
             &mut report,
-            &mut scratch,
         )?;
         choices.push(choice);
-        prev = choice;
     }
-    report.total_ps = gpu_free;
+    report.total_ps = solo.gpu_free;
     Ok((SwitchSchedule::new(choices), report))
 }
 

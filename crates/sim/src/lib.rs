@@ -27,22 +27,21 @@
 //! root).
 
 //!
-//! Two single-collective executors share the step engine:
-//! [`exec::run_scheduled`] replays a precomputed switch schedule, and
-//! [`exec::run_adaptive`] consults an [`aps_core::controller::Controller`]
-//! step by step, tagging the trace with each decision's rationale
-//! ([`TraceKind::Decision`]). Both have streaming faces in [`stream`]:
-//! demand is pulled lazily from any [`aps_collectives::Workload`]
-//! ([`stream::run_scheduled_workload`], [`stream::run_workload`]), so
-//! open-ended training loops and traffic generators execute in O(1)
-//! schedule memory — [`stream::run_workload_totals`] keeps even the
-//! report O(1) for million-step runs. Beyond single collectives, the
-//! [`tenant`] module executes several jobs sharing one fabric (disjoint
-//! port partitions, arbitrated controller, per-tenant demand pulled
-//! through the same workload cursors) and [`scenarios`] packages named
-//! multi-tenant workload mixes — plannable under any controller via
-//! [`Scenario::plan_with`] — for the bench harness.
-//!
+//! One step engine runs every step, driven by two loops. A job running
+//! the fabric alone goes through one private per-step runner, and each
+//! single-job front door is a short loop deciding where its steps and
+//! choices come from: [`exec::run_scheduled`] (streaming face
+//! [`stream::run_scheduled_workload`]) reads a precomputed switch
+//! schedule, [`exec::run_adaptive`] asks an
+//! [`aps_core::controller::Controller`] that observes the whole problem
+//! and tags the trace with each rationale ([`TraceKind::Decision`]), and
+//! [`stream::run_workload`] asks one that observes a two-step window over
+//! demand pulled lazily from any [`aps_collectives::Workload`] — O(1)
+//! schedule memory, and O(1) report memory too under
+//! [`stream::run_workload_totals`]. Several jobs sharing one fabric go
+//! through [`service::ServiceExecutor::execute_next`]: [`tenant`] runs a
+//! fixed job list on it and [`scenarios`] packages named multi-tenant
+//! mixes — plannable via [`Scenario::plan_with`] — for the bench harness.
 //! All of this is normally reached through the
 //! `adaptive_photonics::Experiment` facade at the workspace root.
 
@@ -71,8 +70,8 @@ pub use service::{
     Admission, Departure, JobOutcome, ServiceExecutor, ServiceJobSpec, ServiceSwitching,
 };
 pub use stream::{
-    run_scheduled_workload, run_scheduled_workload_recorded, run_workload, run_workload_recorded,
-    run_workload_segment, run_workload_totals, StreamCheckpoint, StreamPricing, StreamSummary,
+    run_scheduled_workload, run_workload, run_workload_recorded, run_workload_segment,
+    run_workload_totals, StreamCheckpoint, StreamPricing, StreamSummary,
 };
 pub use tenant::{execute_tenants, execute_tenants_recorded, TenantReport, TenantSpec};
 pub use trace::{TraceEvent, TraceKind};

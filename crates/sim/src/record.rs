@@ -8,8 +8,7 @@
 //! (the hot loops never build a [`StepRecord`] without a sink), and any
 //! implementation sees a faithful per-step feed:
 //!
-//! * [`crate::stream::run_scheduled_workload_recorded`] and
-//!   [`crate::stream::run_workload_recorded`] deliver one record per
+//! * [`crate::stream::run_workload_recorded`] delivers one record per
 //!   streamed step (`tenant: None`);
 //! * [`crate::stream::run_workload_segment`] does the same for the O(1)
 //!   totals path, including resumed segments;

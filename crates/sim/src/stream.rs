@@ -12,7 +12,7 @@
 //!
 //! * [`run_scheduled_workload`] — replay a precomputed
 //!   [`SwitchSchedule`] against a streamed workload (the streaming
-//!   [`crate::exec::run_scheduled`], which now delegates here).
+//!   [`crate::exec::run_scheduled`], which delegates here).
 //! * [`run_workload`] — the streaming adaptive executor: a
 //!   [`Controller`] decides each pulled step online from a **two-step
 //!   observation window** (the current step plus the previous one, so
@@ -24,9 +24,12 @@
 //!   [`StreamSummary`] instead of accumulating, so a ≥10⁶-step run holds
 //!   constant memory end to end.
 //!
-//! Every entrypoint has a `_recorded` face taking an optional
-//! [`RecordSink`] (see [`crate::record`]) that observes each committed
-//! step — the hook deterministic replay (`aps-replay`) is built on — and
+//! Each is a short loop around the same private per-step runner as
+//! [`crate::exec::run_adaptive`]; this module adds only the pull loop
+//! and, for the adaptive executors, the θ-priced observation window.
+//! [`run_workload_recorded`] takes an optional [`RecordSink`] (see
+//! [`crate::record`]) that observes each committed step — the hook
+//! deterministic replay (`aps-replay`) is built on — and
 //! [`run_workload_segment`] adds [`StreamCheckpoint`] capture/resume on
 //! top of the totals loop, so endless runs can be checkpointed mid-stream
 //! and continued bit-identically.
@@ -47,12 +50,10 @@
 //! streaming — by construction: an unbounded stream has no suffix to
 //! solve.
 
-use crate::arena::StepScratch;
 use crate::error::SimError;
-use crate::exec::{execute_step, natural_request_at, RunConfig, StepInput};
-use crate::record::{RecordSink, StepRecord};
+use crate::exec::{RunConfig, Solo};
+use crate::record::RecordSink;
 use crate::report::{SimReport, StepReport};
-use crate::trace::{TraceEvent, TraceKind};
 use aps_collectives::{Step, Workload, WorkloadCtx};
 use aps_core::controller::{Controller, StepObservation};
 use aps_core::problem::config_of_topology;
@@ -62,6 +63,7 @@ use aps_cost::units::Picos;
 use aps_cost::ReconfigModel;
 use aps_fabric::{Fabric, FabricState};
 use aps_flow::solver::{ThetaCache, ThroughputSolver};
+use aps_matrix::Matching;
 use aps_topology::Topology;
 
 /// How the streaming adaptive executors price a pulled step for the
@@ -209,45 +211,16 @@ pub(crate) fn validate_step(i: usize, n: usize, step: &Step) -> Result<(), SimEr
 /// schedule, fabric refusals, or unroutable pairs.
 pub fn run_scheduled_workload(
     fabric: &mut dyn Fabric,
-    base_config: &aps_matrix::Matching,
+    base_config: &Matching,
     workload: &mut dyn Workload,
     switch_schedule: &SwitchSchedule,
     cfg: &RunConfig,
-) -> Result<SimReport, SimError> {
-    run_scheduled_workload_recorded(fabric, base_config, workload, switch_schedule, cfg, None)
-}
-
-/// [`run_scheduled_workload`] with an optional [`RecordSink`] observing
-/// every committed step (decision, timing, trace slice, fabric state).
-/// `None` records nothing and costs nothing — the unrecorded entrypoint
-/// delegates here.
-///
-/// # Errors
-///
-/// See [`run_scheduled_workload`].
-pub fn run_scheduled_workload_recorded(
-    fabric: &mut dyn Fabric,
-    base_config: &aps_matrix::Matching,
-    workload: &mut dyn Workload,
-    switch_schedule: &SwitchSchedule,
-    cfg: &RunConfig,
-    mut sink: Option<&mut dyn RecordSink>,
 ) -> Result<SimReport, SimError> {
     let n = workload.n();
-    if fabric.n() != n {
-        return Err(SimError::DimensionMismatch {
-            fabric: fabric.n(),
-            collective: n,
-        });
-    }
-
+    let mut solo = Solo::new(fabric, cfg, base_config, n, None)?;
     let mut report = SimReport::default();
-    let mut comm_end: Picos = 0;
-    let mut gpu_free: Picos = 0;
     let mut i = 0usize;
     let mut step = Step::empty();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut scratch = StepScratch::new();
     while workload.next_step_into(&WorkloadCtx::at(i), &mut step) {
         if i >= switch_schedule.len() {
             return Err(SimError::ScheduleLengthMismatch {
@@ -256,41 +229,15 @@ pub fn run_scheduled_workload_recorded(
             });
         }
         validate_step(i, n, &step)?;
-        let matched = switch_schedule.choice(i) == ConfigChoice::Matched;
-        pairs.clear();
-        pairs.extend(step.matching.pairs());
-        let input = StepInput {
-            step: i,
-            matched,
-            target: if matched { &step.matching } else { base_config },
-            pairs: &pairs,
-            bytes_per_pair: step.bytes_per_pair,
-            barrier_n: n,
-            first: i == 0,
-        };
-        let trace_before = report.trace.len();
-        let step_idx = report.steps.len();
-        (comm_end, gpu_free) = execute_step(
-            fabric,
-            &input,
-            cfg,
-            false,
-            comm_end,
-            gpu_free,
+        let choice = switch_schedule.choice(i);
+        solo.step(
+            i,
+            &step.matching,
+            step.bytes_per_pair,
+            choice,
+            None,
             &mut report,
-            &mut scratch,
         )?;
-        if let Some(s) = sink.as_deref_mut() {
-            s.record_step(&StepRecord {
-                step: i,
-                tenant: None,
-                matched,
-                report: &report.steps[step_idx],
-                events: &report.trace[trace_before..],
-                config: fabric.current(),
-                busy_until: fabric.busy_until(),
-            });
-        }
         i += 1;
     }
     if i != switch_schedule.len() {
@@ -299,74 +246,43 @@ pub fn run_scheduled_workload_recorded(
             got: switch_schedule.len(),
         });
     }
-    report.total_ps = gpu_free;
+    report.total_ps = solo.gpu_free;
     Ok(report)
 }
 
-/// The per-step state the streaming adaptive executors thread through
-/// the pull loop: the two-step observation window, the θ memo, and the
-/// simulation clocks.
+/// The θ-priced observation window the streaming adaptive executors decide
+/// from: the previous and the current step over the base topology, memoized
+/// through a θ cache.
 struct AdaptiveStream<'a> {
     base: &'a Topology,
     cache: ThetaCache,
-    /// The observation window; also the single owner of the base circuit
-    /// configuration (`window.base_config`, always `Some` here — the old
-    /// duplicate field cloned the matching a second time for nothing).
+    /// The two-step window, with the base circuit configuration the
+    /// controller's transition charges price against.
     window: SwitchingProblem,
-    prev: ConfigChoice,
-    comm_end: Picos,
-    gpu_free: Picos,
-    /// Persistent pair buffer, refilled per step (zero-alloc hot path).
-    pairs: Vec<(usize, usize)>,
-    /// Arena-backed per-step simulator state, recycled every step.
-    scratch: StepScratch,
 }
 
 impl<'a> AdaptiveStream<'a> {
     fn new(
-        fabric: &dyn Fabric,
         base: &'a Topology,
-        workload: &dyn Workload,
+        base_config: Matching,
         pricing: &StreamPricing,
         cfg: &RunConfig,
-    ) -> Result<Self, SimError> {
-        let n = base.n();
-        if fabric.n() != n || workload.n() != n {
-            return Err(SimError::DimensionMismatch {
-                fabric: fabric.n(),
-                collective: if workload.n() != n { workload.n() } else { n },
-            });
-        }
-        let base_config = config_of_topology(base).ok_or(SimError::BaseNotACircuit)?;
-        let window = SwitchingProblem {
-            n,
-            params: cfg.params,
-            reconfig: pricing.reconfig,
-            base_config: Some(base_config),
-            steps: Vec::with_capacity(2),
-        };
-        Ok(Self {
+    ) -> Self {
+        Self {
             base,
             cache: ThetaCache::new(base, pricing.solver),
-            window,
-            prev: ConfigChoice::Base,
-            comm_end: 0,
-            gpu_free: 0,
-            pairs: Vec::new(),
-            scratch: StepScratch::new(),
-        })
+            window: SwitchingProblem {
+                n: base.n(),
+                params: cfg.params,
+                reconfig: pricing.reconfig,
+                base_config: Some(base_config),
+                steps: Vec::with_capacity(2),
+            },
+        }
     }
 
-    /// Prices the pulled step, slides the window, and lets the
-    /// controller decide; returns the choice and its observation-window
-    /// index.
-    fn observe(
-        &mut self,
-        i: usize,
-        step: &Step,
-        controller: &dyn Controller,
-        accounting: ReconfigAccounting,
-    ) -> Result<(ConfigChoice, usize), SimError> {
+    /// Prices step `i` and slides it into the window's current slot.
+    fn slide(&mut self, i: usize, step: &Step) -> Result<(), SimError> {
         validate_step(i, self.window.n, step)?;
         let t = self
             .cache
@@ -390,101 +306,44 @@ impl<'a> AdaptiveStream<'a> {
             slot.theta_base = t.theta;
             slot.ell_base = t.max_hops;
         }
-        let wi = self.window.steps.len() - 1;
-        let obs = StepObservation::new(&self.window, accounting, wi, self.prev).at_stream_step(i);
-        Ok((controller.decide(&obs), wi))
+        Ok(())
     }
 
-    /// Executes the decided step, advancing the clocks.
-    fn execute(
+    /// Prices the pulled step, slides the window, and returns what the
+    /// controller observes of step `i` after the previous step's `prev`.
+    fn observe(
         &mut self,
-        fabric: &mut dyn Fabric,
         i: usize,
         step: &Step,
-        matched: bool,
-        cfg: &RunConfig,
-        report: &mut SimReport,
-    ) -> Result<(), SimError> {
-        self.pairs.clear();
-        self.pairs.extend(step.matching.pairs());
-        let target = if matched {
-            &step.matching
-        } else {
-            // `new` always seeds the window with the base circuit; a
-            // missing one is a construction bug surfaced as a typed error.
-            self.window
-                .base_config
-                .as_ref()
-                .ok_or(SimError::BaseNotACircuit)?
-        };
-        let input = StepInput {
-            step: i,
-            matched,
-            target,
-            pairs: &self.pairs,
-            bytes_per_pair: step.bytes_per_pair,
-            barrier_n: self.window.n,
-            first: i == 0,
-        };
-        (self.comm_end, self.gpu_free) = execute_step(
-            fabric,
-            &input,
-            cfg,
-            false,
-            self.comm_end,
-            self.gpu_free,
-            report,
-            &mut self.scratch,
-        )?;
-        self.prev = if matched {
-            ConfigChoice::Matched
-        } else {
-            ConfigChoice::Base
-        };
-        Ok(())
+        accounting: ReconfigAccounting,
+        prev: ConfigChoice,
+    ) -> Result<StepObservation<'_>, SimError> {
+        self.slide(i, step)?;
+        let wi = self.window.steps.len() - 1;
+        Ok(StepObservation::new(&self.window, accounting, wi, prev).at_stream_step(i))
     }
 
     /// Rewinds the workload and fast-forwards it past the checkpoint's
     /// executed steps (the [`Workload::reset`] replay contract), repricing
     /// the last consumed step so the resumed step's transition charge sees
     /// the true previous matching in the observation window.
-    fn restore(
-        &mut self,
-        checkpoint: &StreamCheckpoint,
-        workload: &mut dyn Workload,
-    ) -> Result<(), SimError> {
+    fn restore(&mut self, steps_done: usize, workload: &mut dyn Workload) -> Result<(), SimError> {
         workload.reset();
         let mut step = Step::empty();
-        let mut any = false;
-        for j in 0..checkpoint.steps_done {
+        for j in 0..steps_done {
             if !workload.next_step_into(&WorkloadCtx::at(j), &mut step) {
                 // The stream replayed shorter than the checkpoint claims —
                 // the reset contract was violated (or the checkpoint
                 // belongs to a different workload).
                 return Err(SimError::ScheduleLengthMismatch {
-                    expected: checkpoint.steps_done,
+                    expected: steps_done,
                     got: j,
                 });
             }
-            any = true;
         }
-        if any {
-            let i = checkpoint.steps_done - 1;
-            validate_step(i, self.window.n, &step)?;
-            let t = self
-                .cache
-                .get(self.base, &step.matching)
-                .map_err(|source| SimError::Pricing { step: i, source })?;
-            self.window.steps.push(StepCosts {
-                matching: step.matching.clone(),
-                bytes: step.bytes_per_pair,
-                theta_base: t.theta,
-                ell_base: t.max_hops,
-            });
+        if steps_done > 0 {
+            self.slide(steps_done - 1, &step)?;
         }
-        self.prev = checkpoint.prev;
-        self.comm_end = checkpoint.comm_end;
-        self.gpu_free = checkpoint.gpu_free;
         Ok(())
     }
 }
@@ -563,14 +422,27 @@ fn run_stream_core(
     resume: Option<&StreamCheckpoint>,
     max_steps: usize,
     mut full: Option<&mut SimReport>,
-    mut sink: Option<&mut dyn RecordSink>,
+    sink: Option<&mut dyn RecordSink>,
 ) -> Result<(StreamSummary, StreamCheckpoint, Vec<ConfigChoice>), SimError> {
-    let mut stream = AdaptiveStream::new(fabric, base, workload, &pricing, cfg)?;
+    let n = base.n();
+    if fabric.n() != n || workload.n() != n {
+        return Err(SimError::DimensionMismatch {
+            fabric: fabric.n(),
+            collective: if workload.n() != n { workload.n() } else { n },
+        });
+    }
+    let base_config = config_of_topology(base).ok_or(SimError::BaseNotACircuit)?;
+    let mut stream = AdaptiveStream::new(base, base_config.clone(), &pricing, cfg);
+    if let Some(cp) = resume {
+        fabric.load_state(&cp.fabric)?;
+        stream.restore(cp.steps_done, workload)?;
+    }
+    let explain = full.is_some() || sink.is_some();
+    let mut solo = Solo::new(fabric, cfg, &base_config, n, sink)?;
     let mut summary = StreamSummary::default();
     let mut i = 0usize;
     if let Some(cp) = resume {
-        fabric.load_state(&cp.fabric)?;
-        stream.restore(cp, workload)?;
+        (solo.prev, solo.comm_end, solo.gpu_free) = (cp.prev, cp.comm_end, cp.gpu_free);
         summary = cp.summary;
         i = cp.steps_done;
     }
@@ -578,71 +450,37 @@ fn run_stream_core(
     if full.is_some() {
         choices.reserve(workload.size_hint().0);
     }
-    let mut scratch = SimReport::default();
+    let mut fold = SimReport::default();
     let mut step = Step::empty();
-    while i < max_steps {
-        if !workload.next_step_into(&WorkloadCtx::at(i), &mut step) {
-            break;
-        }
-        let (choice, wi) = stream.observe(i, &step, controller, pricing.accounting)?;
-        let matched = choice == ConfigChoice::Matched;
-        if full.is_some() || sink.is_some() {
-            // Stamp the decision no later than the step's natural fabric
-            // request, mirroring `run_adaptive` (the window observation is
-            // rebuilt only for the rationale string).
-            let decided_at = natural_request_at(
-                cfg,
-                stream.window.n,
-                i == 0,
-                stream.comm_end,
-                stream.gpu_free,
-            )
-            .min(stream.gpu_free);
-            let why = controller.explain(
-                &StepObservation::new(&stream.window, pricing.accounting, wi, stream.prev)
-                    .at_stream_step(i),
-                choice,
-            );
-            scratch.trace.push(TraceEvent {
-                at: decided_at,
-                kind: TraceKind::Decision {
-                    step: i,
-                    matched,
-                    why,
-                },
-            });
-        }
-        stream.execute(fabric, i, &step, matched, cfg, &mut scratch)?;
-        summary.absorb(&scratch.steps[0], matched);
-        if let Some(s) = sink.as_deref_mut() {
-            s.record_step(&StepRecord {
-                step: i,
-                tenant: None,
-                matched,
-                report: &scratch.steps[0],
-                events: &scratch.trace,
-                config: fabric.current(),
-                busy_until: fabric.busy_until(),
-            });
-        }
-        if let Some(r) = full.as_deref_mut() {
-            r.steps.push(scratch.steps[0]);
-            r.trace.append(&mut scratch.trace);
+    while i < max_steps && workload.next_step_into(&WorkloadCtx::at(i), &mut step) {
+        let obs = stream.observe(i, &step, pricing.accounting, solo.prev)?;
+        let choice = controller.decide(&obs);
+        let why = explain.then(|| controller.explain(&obs, choice));
+        let dest = match full.as_deref_mut() {
+            Some(r) => r,
+            None => {
+                fold.steps.clear();
+                fold.trace.clear();
+                &mut fold
+            }
+        };
+        let done = solo.step(i, &step.matching, step.bytes_per_pair, choice, why, dest)?;
+        summary.absorb(done, choice == ConfigChoice::Matched);
+        if full.is_some() {
             choices.push(choice);
         }
-        scratch.steps.clear();
-        scratch.trace.clear();
         i += 1;
     }
-    summary.total_ps = stream.gpu_free;
+    let (prev, comm_end, gpu_free) = (solo.prev, solo.comm_end, solo.gpu_free);
+    summary.total_ps = gpu_free;
     if let Some(r) = full {
-        r.total_ps = stream.gpu_free;
+        r.total_ps = gpu_free;
     }
     let checkpoint = StreamCheckpoint {
         steps_done: i,
-        prev: stream.prev,
-        comm_end: stream.comm_end,
-        gpu_free: stream.gpu_free,
+        prev,
+        comm_end,
+        gpu_free,
         summary,
         fabric: fabric.save_state(),
     };
@@ -714,7 +552,6 @@ mod tests {
     use aps_cost::units::MIB;
     use aps_cost::CostParams;
     use aps_fabric::CircuitSwitch;
-    use aps_matrix::Matching;
     use aps_topology::builders;
 
     fn ring_config(n: usize) -> Matching {
@@ -968,11 +805,12 @@ mod tests {
             fn name(&self) -> &str {
                 "bad"
             }
-            fn next_step(&mut self, _: &WorkloadCtx) -> Option<aps_collectives::Step> {
-                Some(aps_collectives::Step {
+            fn next_step_into(&mut self, _: &WorkloadCtx, out: &mut Step) -> bool {
+                *out = Step {
                     matching: Matching::shift(self.0, 1).unwrap(),
                     bytes_per_pair: f64::NAN,
-                })
+                };
+                true
             }
             fn reset(&mut self) {}
         }

@@ -38,7 +38,7 @@ extern "C" {
 
 #define APS_ABI_MAJOR 1
 #define APS_ABI_MINOR 0
-#define APS_ABI_PATCH 0
+#define APS_ABI_PATCH 1
 
 /* Packed as (major << 16) | (minor << 8) | patch. */
 uint32_t aps_abi_version(void);

@@ -99,9 +99,9 @@ impl<W: Workload> Workload for Counting<W> {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn next_step(&mut self, ctx: &WorkloadCtx) -> Option<Step> {
+    fn next_step_into(&mut self, ctx: &WorkloadCtx, out: &mut Step) -> bool {
         self.pulled += 1;
-        self.inner.next_step(ctx)
+        self.inner.next_step_into(ctx, out)
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
